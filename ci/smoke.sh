@@ -140,7 +140,7 @@ golden BENCH_fleet BENCH_fleet.json "$SCRATCH/BENCH_fleet.json"
 echo "== simulator perf smoke =="
 # Tracks the simulator's own wall-clock cost. The shared runner is noisy,
 # so this validates the tooling (report shape, engine bit-identity
-# re-check, --jobs/--no-turbo paths) rather than asserting a speedup; the
+# re-check, --jobs/--engine paths) rather than asserting a speedup; the
 # numbers land in the uploaded artifact for trend inspection. The
 # reference-engine report is scratch output: nothing consumes it, so it
 # stays out of the workspace.
@@ -175,7 +175,7 @@ for (path,) in checks:
 sys.exit(1 if fail else 0)
 PYEOF
 cargo run --release -q -p ulp-bench --bin simperf -- \
-  --no-turbo --skip-comparison --out "$SCRATCH/BENCH_reference.json"
+  --engine reference --skip-comparison --out "$SCRATCH/BENCH_reference.json"
 python3 -m json.tool "$SCRATCH/BENCH_reference.json" > /dev/null
 
 fi # STAGE = all

@@ -1,10 +1,10 @@
 //! Simulator wall-clock performance tracker: times the evaluation suites,
-//! meters simulated MIPS, runs the in-process four-way engine comparison
-//! (reference vs turbo vs micro-op vs epoch, full sweep plus the
+//! meters simulated MIPS, runs the in-process three-way engine comparison
+//! (reference vs micro-op vs epoch, full sweep plus the
 //! quad-core `pulp_parallel` cell), and writes `BENCH_simulator.json`.
 //!
 //! Usage: `simperf [--jobs N] [--out PATH] [--reps N]
-//! [--engine reference|turbo|microop|epoch] [--no-turbo] [--skip-comparison]`
+//! [--engine reference|microop|epoch] [--skip-comparison]`
 
 use ulp_bench::simperf::{self, SuitePerf};
 use ulp_cluster::Engine;
@@ -12,7 +12,7 @@ use ulp_cluster::Engine;
 fn usage() -> ! {
     eprintln!(
         "usage: simperf [--jobs N] [--out PATH] [--reps N] \
-         [--engine reference|turbo|microop|epoch] [--no-turbo] [--skip-comparison]"
+         [--engine reference|microop|epoch] [--skip-comparison]"
     );
     std::process::exit(2);
 }
@@ -39,7 +39,6 @@ fn main() {
                     .and_then(|v| Engine::from_name(&v))
                     .unwrap_or_else(|| usage());
             }
-            "--no-turbo" => engine = Engine::Reference,
             "--skip-comparison" => comparison_enabled = false,
             _ => usage(),
         }
@@ -84,12 +83,10 @@ fn main() {
     let (comparison, quad, peak) = if comparison_enabled {
         let c = simperf::compare_engines(reps, engine);
         eprintln!(
-            "simperf: engine comparison (min of {}): reference {:.3} cpu-s, turbo {:.3} cpu-s \
-             ({:.3}x), microop {:.3} cpu-s ({:.3}x), epoch {:.3} cpu-s ({:.3}x)",
+            "simperf: engine comparison (min of {}): reference {:.3} cpu-s, \
+             microop {:.3} cpu-s ({:.3}x), epoch {:.3} cpu-s ({:.3}x)",
             c.reps,
             c.reference_cpu_seconds,
-            c.turbo_cpu_seconds,
-            c.turbo_speedup(),
             c.microop_cpu_seconds,
             c.microop_speedup(),
             c.epoch_cpu_seconds,

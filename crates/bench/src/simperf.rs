@@ -12,8 +12,8 @@
 //!   take the minimum of several repetitions, interleaving the engines
 //!   being compared so slow drift hits both equally.
 //! * **Apples to apples.** The only comparison made in-process — and thus
-//!   the only defensible ratio — is engine vs engine (reference, turbo,
-//!   micro-op) on the same build and the same host state. The pre-PR
+//!   the only defensible ratio — is engine vs engine (reference,
+//!   micro-op, epoch) on the same build and the same host state. The pre-PR
 //!   baseline seconds are
 //!   recorded in the report for context, but they were captured on a
 //!   different checkout and host state, so ratios against them are
@@ -76,8 +76,8 @@ pub fn time_suite(name: &'static str, suite: impl FnOnce() -> String) -> SuitePe
     }
 }
 
-/// In-process engine comparison: a fixed workload under each of the four
-/// cluster engines (reference, turbo, micro-op, epoch), interleaved,
+/// In-process engine comparison: a fixed workload under each of the three
+/// cluster engines (reference, micro-op, epoch), interleaved,
 /// min-of-`reps` CPU seconds each. This is the defensible speedup number —
 /// same build, same host state, only the engine differs.
 #[derive(Clone, Debug)]
@@ -88,8 +88,6 @@ pub struct EngineComparison {
     pub reps: usize,
     /// Best-of-reps CPU seconds for the reference engine.
     pub reference_cpu_seconds: f64,
-    /// Best-of-reps CPU seconds for the turbo engine.
-    pub turbo_cpu_seconds: f64,
     /// Best-of-reps CPU seconds for the micro-op block engine.
     pub microop_cpu_seconds: f64,
     /// Best-of-reps CPU seconds for the speculative epoch engine.
@@ -97,12 +95,6 @@ pub struct EngineComparison {
 }
 
 impl EngineComparison {
-    /// Reference time over turbo time (> 1 means turbo is faster).
-    #[must_use]
-    pub fn turbo_speedup(&self) -> f64 {
-        self.reference_cpu_seconds / self.turbo_cpu_seconds.max(1e-9)
-    }
-
     /// Reference time over micro-op time (> 1 means micro-op is faster).
     #[must_use]
     pub fn microop_speedup(&self) -> f64 {
@@ -167,7 +159,7 @@ fn compare_engines_on(
     restore: ulp_cluster::Engine,
 ) -> EngineComparison {
     // Interleave the engines so slow host drift biases none of them.
-    let mut best = [f64::INFINITY; 4];
+    let mut best = [f64::INFINITY; ulp_cluster::Engine::ALL.len()];
     for _ in 0..reps.max(1) {
         for (slot, engine) in ulp_cluster::Engine::ALL.into_iter().enumerate() {
             ulp_cluster::set_default_engine(engine);
@@ -181,9 +173,8 @@ fn compare_engines_on(
         workload,
         reps: reps.max(1),
         reference_cpu_seconds: best[0],
-        turbo_cpu_seconds: best[1],
-        microop_cpu_seconds: best[2],
-        epoch_cpu_seconds: best[3],
+        microop_cpu_seconds: best[1],
+        epoch_cpu_seconds: best[2],
     }
 }
 
@@ -311,8 +302,7 @@ pub const PRE_PR_BASELINE_REV: &str = "e2f45d3";
 /// micro-optimisations (pre-sized micro-op vectors, reused scheduler key
 /// array) replace. Rendered next to the fresh numbers so the report
 /// records the delta, with the usual different-host-state caveat.
-pub const PRE_PR_ENGINE_SECONDS: &[(&str, f64)] =
-    &[("reference", 0.90), ("turbo", 0.88), ("microop", 0.59)];
+pub const PRE_PR_ENGINE_SECONDS: &[(&str, f64)] = &[("reference", 0.90), ("microop", 0.59)];
 
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
@@ -329,20 +319,12 @@ fn render_comparison(out: &mut String, c: &EngineComparison, with_pre_pr: bool) 
         c.reference_cpu_seconds
     ));
     out.push_str(&format!(
-        "    \"turbo_cpu_seconds\": {:.4},\n",
-        c.turbo_cpu_seconds
-    ));
-    out.push_str(&format!(
         "    \"microop_cpu_seconds\": {:.4},\n",
         c.microop_cpu_seconds
     ));
     out.push_str(&format!(
         "    \"epoch_cpu_seconds\": {:.4},\n",
         c.epoch_cpu_seconds
-    ));
-    out.push_str(&format!(
-        "    \"turbo_speedup\": {:.3},\n",
-        c.turbo_speedup()
     ));
     out.push_str(&format!(
         "    \"microop_speedup\": {:.3},\n",
@@ -513,7 +495,6 @@ mod tests {
             workload: "full sweep",
             reps: 3,
             reference_cpu_seconds: 2.0,
-            turbo_cpu_seconds: 1.0,
             microop_cpu_seconds: 0.25,
             epoch_cpu_seconds: 0.125,
         };
@@ -521,7 +502,6 @@ mod tests {
             workload: "quad cell",
             reps: 3,
             reference_cpu_seconds: 4.0,
-            turbo_cpu_seconds: 4.0,
             microop_cpu_seconds: 4.0,
             epoch_cpu_seconds: 2.0,
         };
@@ -543,7 +523,7 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\"engine\": \"epoch\""));
         assert!(json.contains("\"simulated_mips\": 33.60"));
-        assert!(json.contains("\"turbo_speedup\": 2.000"));
+        assert!(json.contains("\"reference_cpu_seconds\": 2.0000"));
         assert!(json.contains("\"microop_speedup\": 8.000"));
         assert!(json.contains("\"epoch_speedup\": 16.000"));
         assert!(json.contains("\"epoch_over_microop\": 2.000"));

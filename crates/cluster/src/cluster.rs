@@ -988,24 +988,6 @@ impl Cluster {
         self.engine
     }
 
-    /// Compatibility shim for the original two-engine knob: `true` selects
-    /// the fastest batching engine ([`crate::Engine::Epoch`]), `false`
-    /// the reference scheduler. Prefer [`Cluster::set_engine`].
-    pub fn set_turbo(&mut self, on: bool) {
-        self.engine = if on {
-            crate::Engine::Epoch
-        } else {
-            crate::Engine::Reference
-        };
-    }
-
-    /// Whether this cluster uses a batching engine (anything other than
-    /// [`crate::Engine::Reference`]).
-    #[must_use]
-    pub fn turbo(&self) -> bool {
-        self.engine != crate::Engine::Reference
-    }
-
     /// Attaches a structured event tracer to the cluster and every
     /// component inside it (cores, TCDM arbiter, DMA, I$). The tracer's
     /// recording survives [`Cluster::start`]: repeated runs lay out
@@ -1201,14 +1183,13 @@ impl Cluster {
     /// Runs until every core has halted (or faults/deadlocks/times out).
     ///
     /// Cores are interleaved lowest-local-time-first so shared-resource
-    /// arbitration happens in approximate global order. Four engines
+    /// arbitration happens in approximate global order. Three engines
     /// implement that schedule — the reference one-instruction-per-scan
-    /// loop, a turbo loop that batches the frontmost core, a micro-op
-    /// loop that additionally replays pre-decoded basic blocks, and an
-    /// epoch loop that speculatively replays every core privately up to a
-    /// conflict-checked horizon (see [`Cluster::set_engine`]); they retire
-    /// the exact same instruction sequence and produce bit-identical
-    /// results.
+    /// loop, a micro-op loop that batches the frontmost core through
+    /// pre-decoded basic blocks, and an epoch loop that speculatively
+    /// replays every core privately up to a conflict-checked horizon (see
+    /// [`Cluster::set_engine`]); they retire the exact same instruction
+    /// sequence and produce bit-identical results.
     ///
     /// # Errors
     ///
@@ -1218,7 +1199,6 @@ impl Cluster {
         let deadline = self.start_time + max_cycles;
         match self.engine {
             crate::Engine::Reference => self.run_loop_reference(deadline, max_cycles)?,
-            crate::Engine::Turbo => self.run_loop_turbo(deadline, max_cycles)?,
             crate::Engine::Microop => self.run_loop_microop(deadline, max_cycles)?,
             crate::Engine::Epoch => self.run_loop_epoch(deadline, max_cycles)?,
         }
@@ -1245,7 +1225,7 @@ impl Cluster {
 
     /// Reference scheduler: rescan for the lowest-local-time running core
     /// before every single instruction. This is the executable definition
-    /// of the interleaving order; the turbo engine is validated against it.
+    /// of the interleaving order; the other engines are validated against it.
     fn run_loop_reference(&mut self, deadline: u64, max_cycles: u64) -> Result<(), ClusterError> {
         loop {
             // Pick the running core with the smallest local time.
@@ -1273,99 +1253,46 @@ impl Cluster {
         }
     }
 
-    /// Turbo scheduler: picks the frontmost running core once, then batches
-    /// instructions on it for as long as the choice the reference scheduler
-    /// would make stays the same.
+    /// Micro-op scheduler: picks the frontmost running core once, then
+    /// batches it for as long as the choice the reference scheduler would
+    /// make stays the same, running each batch through pre-decoded
+    /// basic-block micro-ops ([`ulp_isa::Core::exec_block`]) instead of
+    /// stepping the decoder.
     ///
-    /// Correctness argument: the reference order is argmin over running
-    /// cores of the key `(local_time, core_index)` — the strict `<` scan in
+    /// Batching argument: the reference order is argmin over running cores
+    /// of the key `(local_time, core_index)` — the strict `<` scan in
     /// [`Self::run_loop_reference`] keeps the first (lowest-index) core on
-    /// time ties. A step whose outcome is `Executed` only mutates the
-    /// stepped core and the shared bus; no other core's state or time
-    /// changes, so the next argmin is either still core `i` (iff
+    /// time ties. A retired instruction whose outcome is `Executed` only
+    /// mutates the running core and the shared bus; no other core's state
+    /// or time changes, so the next argmin is either still core `i` (iff
     /// `(t_i, i) < second`, where `second` is the runner-up key from the
     /// scan — keys never compare equal because indices are distinct) or
     /// `second`'s core. Any other outcome (halt, sleep, event, barrier) can
-    /// change other cores' states, so we apply its side effects and rescan.
-    /// The stepped sequence is therefore exactly the reference sequence,
-    /// instruction for instruction, and every observable output
-    /// (`RunResult`, activity counters, trace events) is bit-identical.
-    fn run_loop_turbo(&mut self, deadline: u64, max_cycles: u64) -> Result<(), ClusterError> {
-        // Scheduling keys pack `(time, index)` into one u64 —
-        // `(time << shift) | index`, with `shift` wide enough for every
-        // index — preserving the lexicographic order the reference
-        // scheduler implements (its strict `<` scan keeps the first, i.e.
-        // lowest-index, core on a time tie) while making both the scan and
-        // the per-step batch check single branchless-friendly integer
-        // compares. Shift/mask rather than multiply/modulo keeps the
-        // per-batch unpack off the u64-division unit. Times stay far below
-        // `u64::MAX >> shift` (runs are bounded by `max_cycles`), so the
-        // packing cannot wrap.
-        let shift = usize::BITS - self.cores.len().saturating_sub(1).leading_zeros();
-        let index_mask = (1u64 << shift) - 1;
-        'outer: loop {
-            // One scan yields both the frontmost running core and the
-            // runner-up key that bounds its batch. `u64::min`/`max` compile
-            // to conditional moves, so the scan does not mispredict on the
-            // cores' effectively random time ordering.
-            let mut best = u64::MAX;
-            let mut second = u64::MAX;
-            for (i, c) in self.cores.iter().enumerate() {
-                let key = if c.state() == CoreState::Running {
-                    (c.time() << shift) | i as u64
-                } else {
-                    u64::MAX
-                };
-                second = second.min(best.max(key));
-                best = best.min(key);
-            }
-            if best == u64::MAX {
-                if self.cores.iter().all(|c| c.state() == CoreState::Halted) {
-                    return Ok(());
-                }
-                return Err(ClusterError::Deadlock);
-            }
-            let i = (best & index_mask) as usize;
-            // Batch core `i`. Field-split borrows hoist the bounds check
-            // out of the hot loop; `apply_outcome` (which needs all of
-            // `self`) runs only after the batch ends.
-            let core = &mut self.cores[i];
-            let outcome = loop {
-                if core.time() > deadline {
-                    return Err(ClusterError::Timeout { max_cycles });
-                }
-                let outcome = core
-                    .step(&mut self.bus)
-                    .map_err(|err| ClusterError::Exec { core: i, err })?;
-                if outcome != StepOutcome::Executed {
-                    break outcome;
-                }
-                if ((core.time() << shift) | i as u64) > second {
-                    continue 'outer;
-                }
-            };
-            self.apply_outcome(i, outcome);
-        }
-    }
-
-    /// Micro-op scheduler: the turbo batching policy, but each batch runs
-    /// through pre-decoded basic-block micro-ops
-    /// ([`ulp_isa::Core::exec_block`]) instead of stepping the decoder.
+    /// change other cores' states, so the loop applies its side effects
+    /// and rescans. The retired sequence is therefore exactly the reference
+    /// sequence, instruction for instruction.
     ///
-    /// Correctness argument, on top of [`Self::run_loop_turbo`]'s: the batch
-    /// cut-off `(t_i, i) > second` is evaluated *after* each retired
-    /// instruction in both loops, and for a fixed core index it is a pure
-    /// threshold on the local time, so it converts exactly to the time bound
-    /// passed to `exec_block`: `t ≤ bound ⟺ ((t << shift) | i) ≤ second`.
-    /// (Post-retire times are ≥ 1, so the `saturating_sub` corner at
-    /// `second >> shift == 0` is unreachable.) `exec_block` checks the
+    /// Scheduling keys pack `(time, index)` into one u64 —
+    /// `(time << shift) | index`, with `shift` wide enough for every index
+    /// — preserving that lexicographic order while making the scan a
+    /// single integer compare per core; shift/mask rather than
+    /// multiply/modulo keeps the unpack off the u64-division unit. Times
+    /// stay far below `u64::MAX >> shift` (runs are bounded by
+    /// `max_cycles`), so the packing cannot wrap.
+    ///
+    /// Block replay: the batch cut-off `(t_i, i) > second` is evaluated
+    /// *after* each retired instruction, and for a fixed core index it is a
+    /// pure threshold on the local time, so it converts exactly to the time
+    /// bound passed to `exec_block`: `t ≤ bound ⟺ ((t << shift) | i) ≤
+    /// second`. (Post-retire times are ≥ 1, so the `saturating_sub` corner
+    /// at `second >> shift == 0` is unreachable.) `exec_block` checks the
     /// deadline before each op, the outcome/bound after each op, and exits
     /// on any redirect (taken branch, stale block, block end) — whereupon
     /// this loop re-looks-up at the new PC and continues batching the same
-    /// core, exactly as the turbo loop would keep stepping it. Blocks are
-    /// built from the same decoded side table the reference fetch uses, and
-    /// the I$ model is consulted once per retired instruction either way,
-    /// so timing, stats and trace events are bit-identical.
+    /// core. Blocks are built from the same decoded side table the
+    /// reference fetch uses, and the I$ model is consulted once per retired
+    /// instruction either way, so `RunResult`, activity counters, stats and
+    /// trace events are bit-identical.
     ///
     /// Each core keeps its current block resident (`Core::exec_resume`),
     /// so the ~2-op batches that time-aligned SPMD cores produce resume
@@ -1427,7 +1354,7 @@ impl Cluster {
             }
             let i = (best & index_mask) as usize;
             // The largest local time that keeps `(time, i)` ahead of the
-            // runner-up key — the turbo batch cut-off as a plain bound.
+            // runner-up key — the batch cut-off as a plain bound.
             let bound = if second == u64::MAX {
                 u64::MAX
             } else if (i as u64) <= (second & index_mask) {
@@ -2296,7 +2223,7 @@ mod tests {
     }
 
     #[test]
-    fn all_four_engines_bit_identical() {
+    fn all_engines_bit_identical() {
         let run = |engine: crate::Engine| {
             let mut cl = quad();
             cl.set_engine(engine);
@@ -2305,11 +2232,7 @@ mod tests {
             cl.run_until_halt(1_000_000).unwrap()
         };
         let reference = run(crate::Engine::Reference);
-        for engine in [
-            crate::Engine::Turbo,
-            crate::Engine::Microop,
-            crate::Engine::Epoch,
-        ] {
+        for engine in [crate::Engine::Microop, crate::Engine::Epoch] {
             assert_eq!(run(engine), reference, "{} diverged", engine.name());
         }
     }

@@ -89,7 +89,7 @@ pub fn dma_mmio_contains(addr: u32) -> bool {
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Which execution engine a [`Cluster`] uses. All four retire the exact
+/// Which execution engine a [`Cluster`] uses. All three retire the exact
 /// same instruction sequence and produce bit-identical observable results
 /// (`RunResult`, activity counters, trace events, memory, perf counters);
 /// they differ only in host-side speed.
@@ -100,16 +100,14 @@ pub enum Engine {
     /// of the interleaving order and the differential-testing oracle.
     Reference = 0,
     /// Batches the frontmost core for as long as the reference scheduler
-    /// would keep choosing it, stepping decoded instructions one at a time.
-    Turbo = 1,
-    /// Turbo batching plus a basic-block micro-op cache: each block is
-    /// pre-decoded once into a flat micro-op vector and replayed directly.
-    Microop = 2,
+    /// would keep choosing it, replaying each basic block from a micro-op
+    /// cache: the block is pre-decoded once into a flat micro-op vector.
+    Microop = 1,
     /// Speculative epoch scheduler: each core replays its micro-op blocks
     /// privately up to a shared horizon, a conservative conflict check
     /// validates the epoch, and any conflict rolls the whole epoch back and
     /// re-runs the window through the exact micro-op interleaving.
-    Epoch = 3,
+    Epoch = 2,
 }
 
 impl Engine {
@@ -118,7 +116,6 @@ impl Engine {
     pub fn from_name(name: &str) -> Option<Engine> {
         match name {
             "reference" => Some(Engine::Reference),
-            "turbo" => Some(Engine::Turbo),
             "microop" => Some(Engine::Microop),
             "epoch" => Some(Engine::Epoch),
             _ => None,
@@ -126,19 +123,13 @@ impl Engine {
     }
 
     /// Every engine, in speed order — the valid `--engine` values.
-    pub const ALL: [Engine; 4] = [
-        Engine::Reference,
-        Engine::Turbo,
-        Engine::Microop,
-        Engine::Epoch,
-    ];
+    pub const ALL: [Engine; 3] = [Engine::Reference, Engine::Microop, Engine::Epoch];
 
     /// The engine's CLI / report name.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             Engine::Reference => "reference",
-            Engine::Turbo => "turbo",
             Engine::Microop => "microop",
             Engine::Epoch => "epoch",
         }
@@ -172,22 +163,7 @@ pub fn set_default_engine(engine: Engine) {
 pub fn default_engine() -> Engine {
     match DEFAULT_ENGINE.load(Ordering::Relaxed) {
         0 => Engine::Reference,
-        1 => Engine::Turbo,
-        3 => Engine::Epoch,
+        2 => Engine::Epoch,
         _ => Engine::Microop,
     }
-}
-
-/// Compatibility shim for the original two-engine knob: `true` restores the
-/// fastest batching default ([`Engine::Epoch`]), `false` selects
-/// [`Engine::Reference`]. Prefer [`set_default_engine`].
-pub fn set_default_turbo(on: bool) {
-    set_default_engine(if on { Engine::Epoch } else { Engine::Reference });
-}
-
-/// Whether the current default engine is a batching one (anything other
-/// than [`Engine::Reference`]; see [`default_engine`]).
-#[must_use]
-pub fn default_turbo() -> bool {
-    default_engine() != Engine::Reference
 }

@@ -3,11 +3,8 @@
 //! identical to a plain byte array under arbitrary access interleavings,
 //! arbitration must respect its serialization invariants, the I$ must stay
 //! within its penalty bounds, and whole-cluster runs must be deterministic.
-//!
-//! These are ports of `tests/proptests.rs` (feature-gated, needs the
-//! external `proptest` crate) onto the in-tree `ulp-rng` stream — no
-//! shrinking, but reproducible from the fixed seeds with no registry
-//! access.
+//! Every case is drawn from the in-tree `ulp-rng` stream, so a failure
+//! reproduces exactly from its fixed seed.
 
 use ulp_cluster::{Cluster, ClusterConfig, ICache, Tcdm, L2_BASE, TCDM_BASE};
 use ulp_isa::prelude::*;

@@ -537,17 +537,6 @@ impl HetSystem {
         self.engine
     }
 
-    /// Compatibility shim for the original two-engine knob: `true` selects
-    /// the fastest batching engine, `false` the reference scheduler.
-    /// Prefer [`HetSystem::set_engine`].
-    pub fn set_turbo(&mut self, on: bool) {
-        self.set_engine(if on {
-            ulp_cluster::Engine::Epoch
-        } else {
-            ulp_cluster::Engine::Reference
-        });
-    }
-
     /// The system configuration.
     #[must_use]
     pub fn config(&self) -> &HetSystemConfig {
@@ -1778,6 +1767,84 @@ mod tests {
             .efficiency()
         };
         assert!(eff_at(1.0e6) < eff_at(16.0e6));
+    }
+
+    /// The prediction model over random iteration counts: total time
+    /// grows with every extra iteration, efficiency never drops, and
+    /// double buffering never makes an offload slower.
+    #[test]
+    fn offload_prediction_monotone() {
+        const SEED: u64 = 0x0C04;
+        let scale = ulp_par::battery_scale();
+        let mut sys = HetSystem::new(HetSystemConfig::default());
+        let cost = sys.measure_cost(&small_build()).unwrap();
+        let at = |iterations: usize, double_buffer: bool| {
+            let opts = OffloadOptions {
+                iterations,
+                double_buffer,
+                ..Default::default()
+            };
+            sys.predict(&cost, &opts, true)
+        };
+        let mut rng = ulp_rng::XorShiftRng::seed_from_u64(SEED);
+        for case in 0..200 * scale {
+            let iters = rng.gen_range(1usize..200);
+            let repro = format!(
+                "offload_prediction_monotone: seed={SEED:#x} case={case} iters={iters} \
+                 ULP_BATTERY_SCALE={scale}"
+            );
+            ulp_par::battery_case("offload_model", &repro, || {
+                let a = at(iters, false);
+                let b = at(iters + 1, false);
+                assert!(b.total_seconds() > a.total_seconds(), "iters {iters}");
+                assert!(b.efficiency() >= a.efficiency() - 1e-12, "iters {iters}");
+                let d = at(iters, true);
+                assert!(
+                    d.total_seconds() <= a.total_seconds() + 1e-15,
+                    "iters {iters}"
+                );
+            });
+        }
+    }
+
+    /// The SPI clock follows the host clock, so doubling a random host
+    /// frequency shortens both transfer phases and leaves compute alone.
+    #[test]
+    fn faster_host_clock_never_slows_transfers() {
+        const SEED: u64 = 0x0C05;
+        let scale = ulp_par::battery_scale();
+        let cost = HetSystem::new(HetSystemConfig::default())
+            .measure_cost(&small_build())
+            .unwrap();
+        let at = |mcu_freq_hz: f64| {
+            let sys = HetSystem::new(HetSystemConfig {
+                mcu_freq_hz,
+                ..Default::default()
+            });
+            let opts = OffloadOptions {
+                iterations: 4,
+                ..Default::default()
+            };
+            sys.predict(&cost, &opts, true)
+        };
+        let mut rng = ulp_rng::XorShiftRng::seed_from_u64(SEED);
+        for case in 0..200 * scale {
+            let mhz = 2.0 + 78.0 * rng.next_f64();
+            let repro = format!(
+                "faster_host_clock_never_slows_transfers: seed={SEED:#x} case={case} \
+                 mhz={mhz} ULP_BATTERY_SCALE={scale}"
+            );
+            ulp_par::battery_case("offload_model", &repro, || {
+                let slow = at(mhz * 1e6 / 2.0);
+                let fast = at(mhz * 1e6);
+                assert!(fast.input_seconds < slow.input_seconds, "{mhz} MHz");
+                assert!(fast.binary_seconds < slow.binary_seconds, "{mhz} MHz");
+                assert!(
+                    (fast.compute_seconds - slow.compute_seconds).abs() < 1e-15,
+                    "{mhz} MHz"
+                );
+            });
+        }
     }
 
     #[test]

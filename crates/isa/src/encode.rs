@@ -661,6 +661,67 @@ mod tests {
         assert!(encode(&Insn::Beq(R0, R0, -32772)).is_err());
     }
 
+    /// Random 32-bit words per unit of `ULP_BATTERY_SCALE` in
+    /// [`random_words_decode_totally_and_round_trip`].
+    const RANDOM_WORDS: usize = 100_000;
+
+    /// `decode` is total on random words, and every word it accepts
+    /// round-trips three ways: `encode` → `decode`, `Display` →
+    /// `parse_insn`, and a listing of the accepted instructions
+    /// re-assembling bit-identically through `parse_program`.
+    #[test]
+    fn random_words_decode_totally_and_round_trip() {
+        const SEED: u64 = 0x0C01;
+        let scale = ulp_par::battery_scale();
+        let words = RANDOM_WORDS * scale;
+        let mut rng = ulp_rng::XorShiftRng::seed_from_u64(SEED);
+        let mut accepted = Vec::new();
+        for case in 0..words {
+            let word = rng.next_u32();
+            let repro = format!(
+                "random_words_decode_totally_and_round_trip: seed={SEED:#x} \
+                 word={case} ({word:#010x}) ULP_BATTERY_SCALE={scale}"
+            );
+            let insn = ulp_par::battery_case("isa_roundtrip", &repro, || {
+                let insn = decode(word).ok()?;
+                let word2 = encode(&insn)
+                    .unwrap_or_else(|e| panic!("{word:#010x} decodes to `{insn}` but: {e}"));
+                assert_eq!(decode(word2), Ok(insn), "{word:#010x} -> {word2:#010x}");
+                let text = insn.to_string();
+                let parsed = crate::parse_insn(&text)
+                    .unwrap_or_else(|e| panic!("{word:#010x}: `{text}` does not parse: {e}"));
+                assert_eq!(parsed, insn, "{word:#010x}: `{text}`");
+                Some(insn)
+            });
+            accepted.extend(insn);
+        }
+        // About a quarter of random words decode; a collapse of the
+        // accepted share means the battery stopped testing anything.
+        assert!(
+            accepted.len() * 8 >= words,
+            "only {} of {words} random words decoded",
+            accepted.len()
+        );
+        for (n, chunk) in accepted.chunks(32).enumerate() {
+            let repro = format!(
+                "random_words_decode_totally_and_round_trip: seed={SEED:#x} \
+                 listing={n} ULP_BATTERY_SCALE={scale}"
+            );
+            ulp_par::battery_case("isa_roundtrip", &repro, || {
+                let mut a = crate::Asm::new();
+                for insn in chunk {
+                    a.insn(*insn);
+                }
+                let prog = a.finish().expect("decoded instructions assemble");
+                let listing = prog.listing();
+                let reparsed = crate::parse_program(&listing)
+                    .unwrap_or_else(|e| panic!("listing {n} does not parse: {e}\n{listing}"));
+                assert_eq!(reparsed.insns(), prog.insns(), "listing {n}");
+                assert_eq!(reparsed.words(), prog.words(), "listing {n}");
+            });
+        }
+    }
+
     #[test]
     fn invalid_opcode_fails_decode() {
         assert!(decode(0xFF00_0000).is_err());

@@ -1140,7 +1140,7 @@ impl Core {
     /// time exceeding `deadline` before an op (→ [`BlockExit::Deadline`]); a
     /// retired non-`Executed` outcome (→ [`BlockExit::Outcome`]); the local
     /// time exceeding `bound` after an op (→ [`BlockExit::Bound`], the
-    /// (time, index) batching cut-off of the turbo scheduler); control
+    /// (time, index) batching cut-off of the cluster scheduler); control
     /// leaving the straight line, the block going stale after a write, or
     /// the block ending (→ [`BlockExit::Redirect`]).
     ///

@@ -707,6 +707,42 @@ mod tests {
             .contains("unknown CSR"));
     }
 
+    /// The parser never panics: neither on random bytes (as lossy UTF-8,
+    /// one line and several) nor on mnemonic-shaped garbage that gets past
+    /// the mnemonic lookup into the operand parsers.
+    #[test]
+    fn parser_is_total_on_random_and_mnemonic_shaped_input() {
+        const SEED: u64 = 0x0C02;
+        const MNEMONICS: [&str; 12] = [
+            "add", "lw", "lw.pi", "sw", "beq", "jal", "jalr", "lp.setup", "smull", "csrr", "sev",
+            "lui",
+        ];
+        const JUNK: &[u8] = b"abcdlrxz0123456789 ,():+-#";
+        let scale = ulp_par::battery_scale();
+        let mut rng = ulp_rng::XorShiftRng::seed_from_u64(SEED);
+        for case in 0..20_000 * scale {
+            let text = if case % 2 == 0 {
+                let bytes = ulp_rng::gen::byte_vec(&mut rng, 0..=200);
+                String::from_utf8_lossy(&bytes).into_owned()
+            } else {
+                let mut line = (*ulp_rng::gen::choose(&mut rng, &MNEMONICS)).to_owned();
+                line.push(' ');
+                for _ in 0..rng.gen_range(0usize..=40) {
+                    line.push(char::from(*ulp_rng::gen::choose(&mut rng, JUNK)));
+                }
+                line
+            };
+            let repro = format!(
+                "parser_is_total_on_random_and_mnemonic_shaped_input: seed={SEED:#x} \
+                 case={case} ULP_BATTERY_SCALE={scale} input={text:?}"
+            );
+            ulp_par::battery_case("isa_parser", &repro, || {
+                let _ = parse_insn(&text);
+                let _ = parse_program(&text);
+            });
+        }
+    }
+
     #[test]
     fn program_with_labels() {
         let src = "

@@ -5,8 +5,6 @@
 //! The seeded battery below runs in the default `cargo test` with no
 //! external dependencies: 10 000 corner-biased operand triples per opcode
 //! from the in-tree `ulp-rng` stream, reproducible from the fixed seed.
-//! The proptest variant (shrinking, adaptive case generation) remains in
-//! the feature-gated `deep` module at the bottom.
 
 use ulp_isa::prelude::*;
 use ulp_rng::gen::operand32;
@@ -308,50 +306,4 @@ fn diff_addi_vs_add() {
             "addi a={a:#x} imm={imm}"
         );
     }
-}
-
-/// The deep variant: proptest-driven case generation with shrinking.
-/// Needs the external `proptest` crate — add `proptest = "1"` under
-/// `[dev-dependencies]` (registry access required) and pass
-/// `--features proptest`.
-#[cfg(feature = "proptest")]
-mod deep {
-    use super::{eval, run_one};
-    use proptest::prelude::*;
-    use ulp_isa::prelude::*;
-
-    macro_rules! alu_case_deep {
-        ($name:ident, $variant:ident) => {
-            proptest! {
-                #[test]
-                fn $name(a in any::<u32>(), b in any::<u32>(), d in any::<u32>()) {
-                    let insn = Insn::$variant(R1, R2, R3);
-                    prop_assert_eq!(run_one(insn, a, b, d), eval(&insn, a, b, d));
-                }
-            }
-        };
-    }
-
-    alu_case_deep!(deep_add, Add);
-    alu_case_deep!(deep_sub, Sub);
-    alu_case_deep!(deep_and, And);
-    alu_case_deep!(deep_or, Or);
-    alu_case_deep!(deep_xor, Xor);
-    alu_case_deep!(deep_sll, Sll);
-    alu_case_deep!(deep_srl, Srl);
-    alu_case_deep!(deep_sra, Sra);
-    alu_case_deep!(deep_slt, Slt);
-    alu_case_deep!(deep_sltu, Sltu);
-    alu_case_deep!(deep_min, Min);
-    alu_case_deep!(deep_max, Max);
-    alu_case_deep!(deep_mul, Mul);
-    alu_case_deep!(deep_mac, Mac);
-    alu_case_deep!(deep_sdotv4, SdotV4);
-    alu_case_deep!(deep_sdotv2, SdotV2);
-    alu_case_deep!(deep_addv4, AddV4);
-    alu_case_deep!(deep_addv2, AddV2);
-    alu_case_deep!(deep_subv4, SubV4);
-    alu_case_deep!(deep_subv2, SubV2);
-    alu_case_deep!(deep_div, Div);
-    alu_case_deep!(deep_divu, Divu);
 }

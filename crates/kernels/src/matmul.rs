@@ -427,6 +427,38 @@ mod tests {
         }
     }
 
+    /// Every variant at random power-of-two sizes (8, 16 or 32), bit-exact
+    /// against its golden reference on the baseline, host and cluster
+    /// targets.
+    #[test]
+    fn correct_at_random_sizes() {
+        const SEED: u64 = 0x0C07;
+        let scale = ulp_par::battery_scale();
+        let mut rng = ulp_rng::XorShiftRng::seed_from_u64(SEED);
+        for case in 0..16 * scale {
+            let n = 1usize << rng.gen_range(3u32..6);
+            let variant = *ulp_rng::gen::choose(
+                &mut rng,
+                &[MatVariant::Char, MatVariant::Short, MatVariant::Fixed],
+            );
+            let repro = format!(
+                "correct_at_random_sizes: seed={SEED:#x} case={case} n={n} \
+                 variant={} ULP_BATTERY_SCALE={scale}",
+                variant.name()
+            );
+            ulp_par::battery_case("kernels_matmul", &repro, || {
+                for env in [
+                    TargetEnv::baseline(),
+                    TargetEnv::host_m4(),
+                    TargetEnv::pulp_parallel(),
+                ] {
+                    let build = build_sized(variant, &env, n);
+                    run(&build, &env).unwrap_or_else(|e| panic!("{} n={n}: {e}", build.name));
+                }
+            });
+        }
+    }
+
     #[test]
     fn table1_sizes_match_paper() {
         for (variant, input_kb, output_kb) in [

@@ -401,6 +401,59 @@ mod tests {
         );
     }
 
+    /// Random budgets between 0.3 and 40 mW: a feasible operating point
+    /// never exceeds its budget, its voltage or the timing limit at that
+    /// voltage, and 10% more budget never yields a slower point.
+    #[test]
+    fn envelope_solver_is_budget_safe_and_monotone() {
+        const SEED: u64 = 0x0C06;
+        let scale = ulp_par::battery_scale();
+        let m = model();
+        let act = busy_activity(4, 8);
+        let mut rng = ulp_rng::XorShiftRng::seed_from_u64(SEED);
+        for case in 0..500 * scale {
+            let budget = (0.3 + 39.7 * rng.next_f64()) * 1e-3;
+            let repro = format!(
+                "envelope_solver_is_budget_safe_and_monotone: seed={SEED:#x} case={case} \
+                 budget={budget} ULP_BATTERY_SCALE={scale}"
+            );
+            ulp_par::battery_case("power_envelope", &repro, || {
+                let Some(op) = m.max_freq_under_power(budget, &act) else {
+                    return;
+                };
+                assert!(op.total_power_w <= budget * 1.0001, "budget {budget}");
+                assert!((0.5..=1.0).contains(&op.vdd), "budget {budget}");
+                assert!(op.freq_hz <= m.fmax_hz(op.vdd) * 1.0001, "budget {budget}");
+                let more = m
+                    .max_freq_under_power(budget * 1.1, &act)
+                    .expect("a larger budget stays feasible");
+                assert!(more.freq_hz >= op.freq_hz * 0.999, "budget {budget}");
+            });
+        }
+    }
+
+    /// No cliffs between adjacent operating points (sampled every 10 mV
+    /// at fmax), so the envelope solver's search sees a smooth curve.
+    #[test]
+    fn power_model_is_smooth() {
+        let m = model();
+        let act = busy_activity(4, 8);
+        let mut prev: Option<f64> = None;
+        let mut v = 0.5f64;
+        while v <= 1.0 {
+            let p = m.total_power_w(m.fmax_hz(v), v, &act);
+            if let Some(q) = prev {
+                let ratio = p / q;
+                assert!(
+                    (0.9..1.6).contains(&ratio),
+                    "power cliff at {v:.3} V: ×{ratio:.2}"
+                );
+            }
+            prev = Some(p);
+            v += 0.01;
+        }
+    }
+
     #[test]
     fn huge_budget_is_timing_limited_at_nominal() {
         let m = model();

@@ -32,6 +32,25 @@ use ulp_power::busy_activity;
 use ulp_tools::{parse_benchmark, Args};
 use ulp_trace::Tracer;
 
+/// The usage line, which doubles as the list of every accepted option.
+const USAGE: &str = "usage: het-sim --benchmark NAME [--platform FILE] [--mcu-mhz F] \
+    [--iterations N] \
+    [--double-buffer] [--pipeline] [--chunk-bytes N] [--window N] \
+    [--sensor-direct] [--host-task] [--link spi|qspi] \
+    [--link-clock SPI_MHZ] [--boost-mhz F] [--budget-mw P] \
+    [--ber RATE] [--drop-rate R] [--truncate-rate R] [--hang-rate R] \
+    [--late-eoc-rate R] [--late-eoc-cycles N] [--stuck-eoc] \
+    [--stuck-fetch-enable] [--fault-seed N] [--max-retries N] \
+    [--backoff-cycles N] [--watchdog-cycles N] [--no-fallback] \
+    [--trace FILE] [--trace-cap N] [--counters] \
+    [--perf] [--engine reference|microop|epoch] [--jobs N] \
+    [--serve] [--pool N] [--max-batch N] [--serial] [--no-fair] \
+    [--serve-seed N] [--duration-ms N] [--tenants N] \
+    [--power-budget MW] \
+    [--soak] [--burst-factor F] [--blackout-ms N] [--churn-ms N] \
+    [--fleet] [--groups N] [--autoscale] [--max-pool N] \
+    [--record-trace FILE] [--replay-trace FILE]";
+
 #[allow(clippy::too_many_lines)]
 fn run() -> Result<(), String> {
     let args = Args::parse(
@@ -46,7 +65,6 @@ fn run() -> Result<(), String> {
             "no-fallback",
             "counters",
             "perf",
-            "no-turbo",
             "serve",
             "soak",
             "serial",
@@ -57,34 +75,16 @@ fn run() -> Result<(), String> {
         ],
     );
     if args.has("help") || !args.has("benchmark") {
-        return Err(
-            "usage: het-sim --benchmark NAME [--platform FILE] [--mcu-mhz F] \
-             [--iterations N] \
-             [--double-buffer] [--pipeline] [--chunk-bytes N] [--window N] \
-             [--sensor-direct] [--host-task] [--link spi|qspi] \
-             [--link-clock SPI_MHZ] [--boost-mhz F] [--budget-mw P] \
-             [--ber RATE] [--drop-rate R] [--truncate-rate R] [--hang-rate R] \
-             [--late-eoc-rate R] [--late-eoc-cycles N] [--stuck-eoc] \
-             [--stuck-fetch-enable] [--fault-seed N] [--max-retries N] \
-             [--backoff-cycles N] [--watchdog-cycles N] [--no-fallback] \
-             [--trace FILE] [--trace-cap N] [--counters] \
-             [--perf] [--engine reference|turbo|microop|epoch] [--no-turbo] [--jobs N] \
-             [--serve] [--pool N] [--max-batch N] [--serial] [--no-fair] \
-             [--serve-seed N] [--duration-ms N] [--tenants N] \
-             [--power-budget MW] \
-             [--soak] [--burst-factor F] [--blackout-ms N] [--churn-ms N] \
-             [--fleet] [--groups N] [--autoscale] [--max-pool N] \
-             [--record-trace FILE] [--replay-trace FILE]"
-                .to_owned(),
-        );
+        return Err(USAGE.to_owned());
     }
+    // Every accepted option is listed in USAGE; anything else (a typo, a
+    // retired flag) is an error rather than silently ignored.
+    args.reject_unknown(USAGE)?;
     let benchmark = parse_benchmark(args.get("benchmark").unwrap_or(""))?;
     let mcu_hz = args.get_f64("mcu-mhz", 16.0)? * 1e6;
     let iterations = args.get_usize("iterations", 16)?;
     // Engine selection must precede system construction, which latches the
-    // choice. `--engine` picks one of the bit-identical engines;
-    // `--no-turbo` stays as the original escape hatch to the reference
-    // scheduler.
+    // choice. `--engine` picks one of the bit-identical engines.
     if let Some(name) = args.get("engine") {
         let engine = ulp_cluster::Engine::from_name(name).ok_or_else(|| {
             let valid = ulp_cluster::Engine::ALL
@@ -98,9 +98,6 @@ fn run() -> Result<(), String> {
             )
         })?;
         ulp_cluster::set_default_engine(engine);
-    }
-    if args.has("no-turbo") {
-        ulp_cluster::set_default_turbo(false);
     }
     if args.has("jobs") {
         let jobs = args.get_usize("jobs", 1)?;

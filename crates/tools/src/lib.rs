@@ -131,6 +131,27 @@ impl Args {
         out
     }
 
+    /// Rejects the first `--key` that `usage` does not mention as a
+    /// `--key` token, so the usage text is the one list of accepted
+    /// options.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the unknown option.
+    pub fn reject_unknown(&self, usage: &str) -> Result<(), String> {
+        let documented = usage
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"));
+        match self
+            .opts
+            .iter()
+            .find(|(key, _)| !documented.clone().any(|d| d == key))
+        {
+            Some((key, _)) => Err(format!("unknown option `--{key}` (see --help)")),
+            None => Ok(()),
+        }
+    }
+
     /// Value of `--key`, if present.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&str> {
@@ -275,6 +296,44 @@ mod tests {
         ));
     }
 
+    /// `from_image` never panics on random bytes — bare, or behind a valid
+    /// magic so the header and body parsers see them — and rejects every
+    /// image whose body is shorter than its header claims.
+    #[test]
+    fn from_image_is_total_and_rejects_truncated_bodies() {
+        const SEED: u64 = 0x0C03;
+        let scale = ulp_par::battery_scale();
+        let mut rng = ulp_rng::XorShiftRng::seed_from_u64(SEED);
+        for case in 0..5_000 * scale {
+            let mut img = Vec::new();
+            if case % 2 == 1 {
+                img.extend_from_slice(MAGIC);
+            }
+            img.extend(ulp_rng::gen::byte_vec(&mut rng, 0..=256));
+            let words = rng.gen_range(1u32..64);
+            let rodata = rng.gen_range(0u32..64);
+            let cut = rng.gen_range(1..=words as usize * 4 + rodata as usize);
+            let repro = format!(
+                "from_image_is_total_and_rejects_truncated_bodies: seed={SEED:#x} \
+                 case={case} ULP_BATTERY_SCALE={scale}"
+            );
+            ulp_par::battery_case("image_parser", &repro, || {
+                let _ = from_image(&img);
+                // A well-formed header over a body `cut` bytes short.
+                let mut short = Vec::new();
+                short.extend_from_slice(MAGIC);
+                short.extend_from_slice(&words.to_le_bytes());
+                short.extend_from_slice(&rodata.to_le_bytes());
+                short.resize(12 + words as usize * 4 + rodata as usize - cut, 0);
+                assert_eq!(
+                    from_image(&short),
+                    Err(ImageError::Truncated),
+                    "{words} words + {rodata} rodata bytes, {cut} bytes short"
+                );
+            });
+        }
+    }
+
     #[test]
     fn args_parsing() {
         let args = Args::parse(
@@ -289,6 +348,13 @@ mod tests {
         assert_eq!(args.get_f64("missing", 2.5).unwrap(), 2.5);
         assert_eq!(args.positional, vec!["file.s"]);
         assert!(args.get_usize("model", 0).is_err());
+        assert!(args
+            .reject_unknown("usage: [--model M] [--trace] [--iters N] FILE")
+            .is_ok());
+        assert_eq!(
+            args.reject_unknown("usage: [--model M] [--trace] [--iters-max N] FILE"),
+            Err("unknown option `--iters` (see --help)".to_owned())
+        );
     }
 
     #[test]
@@ -300,33 +366,5 @@ mod tests {
         assert!(parse_benchmark("quicksort").is_err());
         assert_eq!(parse_model("M4").unwrap().name, "cortex-m4");
         assert!(parse_model("z80").is_err());
-    }
-}
-
-// Needs the external `proptest` crate; see the `proptest` feature note in
-// Cargo.toml.
-#[cfg(all(test, feature = "proptest"))]
-mod fuzz {
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Image parsing never panics on arbitrary bytes.
-        #[test]
-        fn from_image_is_total(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-            let _ = super::from_image(&bytes);
-        }
-
-        /// Valid headers with truncated bodies are rejected, not panicked on.
-        #[test]
-        fn truncated_bodies_rejected(words in 1u32..64, cut in 0usize..16) {
-            let mut img = Vec::new();
-            img.extend_from_slice(super::MAGIC);
-            img.extend_from_slice(&words.to_le_bytes());
-            img.extend_from_slice(&0u32.to_le_bytes());
-            // Provide fewer bytes than the header claims.
-            let full = words as usize * 4;
-            img.extend(std::iter::repeat_n(0u8, full.saturating_sub(cut + 1)));
-            prop_assert!(super::from_image(&img).is_err());
-        }
     }
 }

@@ -152,7 +152,7 @@ fn het_sim_smoke() {
 
 #[test]
 fn het_sim_engine_flag_selects_and_validates() {
-    for engine in ["reference", "turbo", "microop", "epoch"] {
+    for engine in ["reference", "microop", "epoch"] {
         let out = Command::new(env!("CARGO_BIN_EXE_het-sim"))
             .args([
                 "--benchmark",
@@ -177,23 +177,36 @@ fn het_sim_engine_flag_selects_and_validates() {
         );
     }
 
+    // The rejection must name the bad value and list exactly the valid
+    // engines; the retired `turbo` engine is rejected like any other name.
+    for bad in ["warp", "turbo"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_het-sim"))
+            .args(["--benchmark", "svm-linear", "--engine", bad])
+            .output()
+            .unwrap();
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("`{bad}` is not a known engine")),
+            "missing contextful rejection:\n{stderr}"
+        );
+        assert!(
+            stderr.contains("(valid engines, all bit-identical: reference, microop, epoch)"),
+            "error must list exactly the valid engines:\n{stderr}"
+        );
+    }
+
+    // The retired `--no-turbo` shorthand is an unknown option now.
     let out = Command::new(env!("CARGO_BIN_EXE_het-sim"))
-        .args(["--benchmark", "svm-linear", "--engine", "warp"])
+        .args(["--benchmark", "svm-linear", "--no-turbo"])
         .output()
         .unwrap();
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
-    // The rejection must name the bad value and list every valid engine.
     assert!(
-        stderr.contains("`warp` is not a known engine"),
-        "missing contextful rejection:\n{stderr}"
+        stderr.contains("unknown option `--no-turbo`"),
+        "--no-turbo must be rejected as unknown:\n{stderr}"
     );
-    for valid in ["reference", "turbo", "microop", "epoch"] {
-        assert!(
-            stderr.contains(valid),
-            "error must list `{valid}`:\n{stderr}"
-        );
-    }
 }
 
 #[test]

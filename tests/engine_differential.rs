@@ -1,15 +1,15 @@
 //! Differential battery for the batching cluster engines.
 //!
-//! The turbo scheduler batches instructions on the frontmost core instead
-//! of rescanning before every step, the micro-op engine additionally
-//! replays pre-decoded basic blocks, and the epoch engine speculates whole
-//! per-core windows and repairs the arbitration afterwards (see
-//! `DESIGN.md`). Their contract is *bit-identity* with the reference
-//! scheduler — not "close", identical: same `RunResult` (retired counts
-//! included), same error (deadlocks and timeouts included), same memory
-//! image, same trace, on every program and every configuration.
+//! The micro-op engine batches the frontmost core instead of rescanning
+//! before every step and replays pre-decoded basic blocks; the epoch
+//! engine speculates whole per-core windows and repairs the arbitration
+//! afterwards (see `DESIGN.md`). Their contract is *bit-identity* with
+//! the reference scheduler — not "close", identical: same `RunResult`
+//! (retired counts included), same error (deadlocks and timeouts
+//! included), same memory image, same trace, on every program and every
+//! configuration.
 //!
-//! Part A drives all four engines over hundreds of seeded random SPMD
+//! Part A drives all three engines over hundreds of seeded random SPMD
 //! programs on random cluster shapes (core count, TCDM banking, cache and
 //! barrier latencies), including programs that deadlock or fault, plus a
 //! dedicated stream of self-modifying programs that rewrite instructions
@@ -191,11 +191,11 @@ fn run_engine(
 /// Seed of the Part A battery stream.
 const BATTERY_SEED: u64 = 0x70B0_D1FF;
 
-/// Runs one (config, program) pair on all four engines and asserts every
+/// Runs one (config, program) pair on all three engines and asserts every
 /// observable is identical, the reference scan being the oracle. Every
 /// `trace`d case also attaches a tracer per engine and compares the
 /// exported Chrome JSON byte-for-byte. Returns the reference outcome.
-fn assert_four_way(
+fn assert_engines_agree(
     cfg: &ClusterConfig,
     prog: &Program,
     trace: bool,
@@ -213,7 +213,7 @@ fn assert_four_way(
     let (reference, ref_mem) = run_engine(cfg, prog, Engine::Reference, tracer(trace));
     let ref_json = ref_mem.1.as_ref().map(|t| t.chrome_json());
     ulp_par::battery_case(battery, repro, || {
-        for engine in [Engine::Turbo, Engine::Microop, Engine::Epoch] {
+        for engine in [Engine::Microop, Engine::Epoch] {
             let name = engine.name();
             let (result, mem) = run_engine(cfg, prog, engine, tracer(trace));
             assert_eq!(result, reference, "{ctx}: {name} result diverged");
@@ -228,7 +228,7 @@ fn assert_four_way(
 
 /// Part A: 600 seeded random (config, program) pairs per unit of
 /// `ULP_BATTERY_SCALE` (default 1; the nightly CI job raises it), all
-/// four engines, every observable compared for equality. Every 16th pair
+/// three engines, every observable compared for equality. Every 16th pair
 /// also runs with a tracer attached on each side and compares the exported
 /// Chrome JSON byte-for-byte. A failing case appends its reproduction
 /// line to `target/battery-failures/` before panicking.
@@ -250,11 +250,11 @@ fn engines_match_reference_on_600_random_programs() {
             "engines_match_reference_on_600_random_programs: \
              seed={BATTERY_SEED:#x} case={case} ULP_BATTERY_SCALE={scale}"
         );
-        match assert_four_way(
+        match assert_engines_agree(
             &cfg,
             &prog,
             case % 16 == 0,
-            "turbo_differential",
+            "engine_differential",
             &ctx,
             &repro,
         ) {
@@ -347,7 +347,7 @@ fn random_smc_program(rng: &mut XorShiftRng) -> Program {
 }
 
 /// Part A': 120 seeded self-modifying programs per unit of
-/// `ULP_BATTERY_SCALE`, all four engines, every observable compared —
+/// `ULP_BATTERY_SCALE`, all three engines, every observable compared —
 /// the stress case for the micro-op block cache's generation-based
 /// invalidation (in-block staleness after a store, cross-block staleness
 /// on re-entry of a cached block). Every case must halt: an SMC program
@@ -368,7 +368,7 @@ fn engines_match_reference_on_self_modifying_programs() {
             "engines_match_reference_on_self_modifying_programs: \
              seed={SMC_SEED:#x} case={case} ULP_BATTERY_SCALE={scale}"
         );
-        let outcome = assert_four_way(
+        let outcome = assert_engines_agree(
             &cfg,
             &prog,
             case % 8 == 0,
@@ -487,7 +487,7 @@ fn random_contention_program(rng: &mut XorShiftRng, banks: usize) -> Program {
 }
 
 /// Part A'': 150 seeded contention-heavy programs per unit of
-/// `ULP_BATTERY_SCALE`, all four engines, every observable compared — the
+/// `ULP_BATTERY_SCALE`, all three engines, every observable compared — the
 /// adversarial stream for the epoch engine's bank-conflict repair,
 /// data-flow hazard abort, and I$-miss fallback. Every case must halt.
 #[test]
@@ -506,7 +506,7 @@ fn engines_match_reference_on_contention_heavy_programs() {
             "engines_match_reference_on_contention_heavy_programs: \
              seed={CONTENTION_SEED:#x} case={case} ULP_BATTERY_SCALE={scale}"
         );
-        let outcome = assert_four_way(
+        let outcome = assert_engines_agree(
             &cfg,
             &prog,
             case % 16 == 0,
@@ -560,7 +560,7 @@ fn engines_match_reference_on_all_benchmarks_with_and_without_faults() {
                 format!("{report:?} {:?}", sys.link_stats())
             };
             let golden = observe(Engine::Reference);
-            for engine in [Engine::Turbo, Engine::Microop, Engine::Epoch] {
+            for engine in [Engine::Microop, Engine::Epoch] {
                 assert_eq!(
                     observe(engine),
                     golden,
