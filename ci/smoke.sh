@@ -137,6 +137,18 @@ golden fleet_table tests/golden/fleet_table.txt "$SCRATCH/fleet_table.txt"
 golden fleet_autoscale tests/golden/fleet_autoscale.txt "$SCRATCH/fleet_autoscale.txt"
 golden BENCH_fleet BENCH_fleet.json "$SCRATCH/BENCH_fleet.json"
 
+echo "== perfbench smoke =="
+# The host-time benchmark's own tests, then short runs of the two
+# serving workloads. Every pass re-checks the pinned serving values and
+# the invariants (the oracle); a mismatch exits non-zero and fails here.
+# Timings are not gated: the runner is too noisy for them.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+for workload in soak-chaos fleet-autoscale; do
+  cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seconds 3 | tee "$ARTIFACTS/perfbench-$workload.out"
+  tail -n 1 "$ARTIFACTS/perfbench-$workload.out" | grep -q '"correct": true, "attempted": [1-9][0-9]*, "failed": 0'
+done
+
 echo "== simulator perf smoke =="
 # Tracks the simulator's own wall-clock cost. The shared runner is noisy,
 # so this validates the tooling (report shape, engine bit-identity

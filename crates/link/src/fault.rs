@@ -146,6 +146,8 @@ pub struct FaultInjector {
     cfg: FaultConfig,
     rng: XorShiftRng,
     stats: FaultStats,
+    /// `ln(1 − bit_error_rate)`, the geometric gap sampler's divisor.
+    ln_q: f64,
 }
 
 impl FaultInjector {
@@ -156,6 +158,7 @@ impl FaultInjector {
             cfg,
             rng: XorShiftRng::seed_from_u64(cfg.seed),
             stats: FaultStats::default(),
+            ln_q: (1.0 - cfg.bit_error_rate).ln(),
         }
     }
 
@@ -208,7 +211,8 @@ impl FaultInjector {
             wire.truncate(keep);
             return TxOutcome::Truncated;
         }
-        let flips = self.draw_bit_flips(wire.len() * 8);
+        let mut flips = Vec::new();
+        self.for_each_bit_flip(wire.len() * 8, |bit| flips.push(bit));
         if flips.is_empty() {
             return TxOutcome::Delivered;
         }
@@ -243,7 +247,8 @@ impl FaultInjector {
             self.stats.frames_truncated += 1;
             return TxOutcome::Truncated;
         }
-        let flips = self.count_bit_flips(wire_bytes * 8);
+        let mut flips = 0u64;
+        self.for_each_bit_flip(wire_bytes * 8, |_| flips += 1);
         if flips == 0 {
             return TxOutcome::Delivered;
         }
@@ -273,40 +278,33 @@ impl FaultInjector {
         EocOutcome::OnTime
     }
 
-    /// Bit positions flipped in an `n`-bit frame, via geometric gap
-    /// sampling (O(flips), not O(bits)).
-    fn draw_bit_flips(&mut self, n_bits: usize) -> Vec<usize> {
-        let mut flips = Vec::new();
+    /// Calls `flip` with each bit position flipped in an `n`-bit frame,
+    /// in ascending order, via geometric gap sampling (O(flips), not
+    /// O(bits)).
+    fn for_each_bit_flip(&mut self, n_bits: usize, mut flip: impl FnMut(usize)) {
         let p = self.cfg.bit_error_rate;
         if p <= 0.0 || n_bits == 0 {
-            return flips;
+            return;
         }
         if p >= 1.0 {
-            flips.extend(0..n_bits);
-            return flips;
+            (0..n_bits).for_each(flip);
+            return;
         }
-        let ln_q = (1.0 - p).ln();
-        if ln_q == 0.0 {
+        if self.ln_q == 0.0 {
             // p below f64 resolution: a flip effectively never fires.
-            return flips;
+            return;
         }
         let mut pos = 0.0f64;
         loop {
             // Geometric gap: number of surviving bits before the next flip.
             let u = self.rng.next_f64().max(f64::MIN_POSITIVE);
-            pos += (u.ln() / ln_q).floor();
+            pos += (u.ln() / self.ln_q).floor();
             if pos >= n_bits as f64 {
-                return flips;
+                return;
             }
-            flips.push(pos as usize);
+            flip(pos as usize);
             pos += 1.0;
         }
-    }
-
-    /// Number of flipped bits in an `n`-bit frame (same distribution as
-    /// [`draw_bit_flips`](Self::draw_bit_flips), positions not needed).
-    fn count_bit_flips(&mut self, n_bits: usize) -> u64 {
-        self.draw_bit_flips(n_bits).len() as u64
     }
 }
 
@@ -355,6 +353,79 @@ mod tests {
             (outcomes, eocs, *inj.stats())
         };
         assert_eq!(run(), run());
+    }
+
+    /// `assess` must make the exact draws it always made: the outcome
+    /// sequence, the counters, and the RNG position after 4000 frames
+    /// are pinned per bit-error regime (sparse, rare, dense, certain).
+    #[test]
+    fn assess_draws_are_pinned() {
+        let pinned = [
+            (
+                11,
+                1e-3,
+                96,
+                [3026, 2078, 37, 57],
+                0x507c_7878_8a08_06ff,
+                0x2c6e_6d3a_e465_a984,
+            ),
+            (
+                12,
+                3e-5,
+                1030,
+                [965, 863, 42, 36],
+                0xf78b_9a7c_7fbc_a7a1,
+                0xa3b4_8acb_1958_f50d,
+            ),
+            (
+                13,
+                0.25,
+                8,
+                [86398, 3920, 47, 33],
+                0x6003_c8dc_4cea_d3ef,
+                0x3207_f821_3969_a43a,
+            ),
+            (
+                14,
+                1.0,
+                3,
+                [187_712, 3909, 53, 38],
+                0xd7b0_f73b_948d_3619,
+                0xc1e5_8c32_38b3_1a88,
+            ),
+        ];
+        for (seed, ber, bytes, counts, outcomes, next) in pinned {
+            let mut inj = FaultInjector::new(FaultConfig {
+                bit_error_rate: ber,
+                drop_rate: 0.01,
+                truncate_rate: 0.01,
+                ..cfg(seed)
+            });
+            let mut h = 0u64;
+            for i in 0..4000usize {
+                let k = match inj.assess(bytes + i % 7) {
+                    TxOutcome::Delivered => 0,
+                    TxOutcome::Corrupted { escaped: false } => 1,
+                    TxOutcome::Corrupted { escaped: true } => 2,
+                    TxOutcome::Truncated => 3,
+                    TxOutcome::Dropped => 4,
+                };
+                h = h.wrapping_mul(31).wrapping_add(k);
+            }
+            let s = *inj.stats();
+            assert_eq!(
+                [
+                    s.bits_flipped,
+                    s.frames_corrupted,
+                    s.frames_dropped,
+                    s.frames_truncated
+                ],
+                counts,
+                "seed {seed}"
+            );
+            assert_eq!(h, outcomes, "seed {seed}: outcome sequence moved");
+            assert_eq!(inj.rng.next_u64(), next, "seed {seed}: draw count moved");
+        }
     }
 
     #[test]

@@ -23,8 +23,25 @@ pub fn percentile_ns(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted[rank_index(sorted.len(), p)]
+}
+
+/// Zero-based index of the nearest-rank `p`th percentile in a sorted
+/// set of `n ≥ 1` samples.
+fn rank_index(n: usize, p: f64) -> usize {
+    let rank = ((p / 100.0) * n as f64).ceil() as usize;
+    rank.clamp(1, n) - 1
+}
+
+/// Nearest-rank percentile of an **unsorted** sample set — the value
+/// [`percentile_ns`] reads from the sorted set — found by selection in
+/// O(n) instead of a sort. Reorders `samples`; returns 0 when empty.
+#[must_use]
+pub(crate) fn select_percentile_ns(samples: &mut [u64], p: f64) -> u64 {
+    if samples.is_empty() {
+        return 0;
+    }
+    *samples.select_nth_unstable(rank_index(samples.len(), p)).1
 }
 
 /// Latency summary of one population of completed requests.
@@ -43,21 +60,37 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// Summarizes a latency sample set (need not be sorted).
+    /// Summarizes a latency sample set (need not be sorted). The
+    /// percentiles are nearest-rank, found by nested selection: after
+    /// selecting the p99 rank, the samples before it are exactly the
+    /// smaller order statistics, so p95 and then p50 select inside that
+    /// prefix.
     #[must_use]
     pub fn of(samples: &[u64]) -> Self {
         if samples.is_empty() {
             return LatencyStats::default();
         }
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable();
-        let sum: u128 = sorted.iter().map(|&x| u128::from(x)).sum();
+        let n = samples.len();
+        let sum: u128 = samples.iter().map(|&x| u128::from(x)).sum();
+        let mut work = samples.to_vec();
+        let mut prefix = &mut work[..];
+        let mut pick = [0u64; 3];
+        for (slot, p) in [(2, 99.0), (1, 95.0), (0, 50.0)] {
+            let i = rank_index(n, p);
+            pick[slot] = if i < prefix.len() {
+                let (lower, &mut v, _) = prefix.select_nth_unstable(i);
+                prefix = lower;
+                v
+            } else {
+                pick[slot + 1] // same rank as the percentile above
+            };
+        }
         LatencyStats {
-            count: sorted.len() as u64,
-            p50_ns: percentile_ns(&sorted, 50.0),
-            p95_ns: percentile_ns(&sorted, 95.0),
-            p99_ns: percentile_ns(&sorted, 99.0),
-            mean_ns: (sum / sorted.len() as u128) as u64,
+            count: n as u64,
+            p50_ns: pick[0],
+            p95_ns: pick[1],
+            p99_ns: pick[2],
+            mean_ns: (sum / n as u128) as u64,
         }
     }
 }
@@ -376,6 +409,39 @@ mod tests {
         assert_eq!(st.p50_ns, 20);
         assert_eq!(st.p99_ns, 30);
         assert_eq!(st.mean_ns, 20);
+    }
+
+    /// Selection must return exactly the sort-based nearest-rank values,
+    /// including on duplicate-heavy sets and the smallest sizes.
+    #[test]
+    fn selected_percentiles_match_the_sorted_ones() {
+        let mut rng = ulp_rng::XorShiftRng::seed_from_u64(0x005E_1EC7);
+        let mut sizes = vec![1, 2, 3];
+        sizes.extend((0..60).map(|_| rng.gen_range(4..200usize)));
+        sizes.push(5_000);
+        for (case, &n) in sizes.iter().enumerate() {
+            // Alternate narrow (many duplicates) and wide value ranges.
+            let hi = if case % 2 == 0 { 4 } else { 1_000_000_000 };
+            let samples: Vec<u64> = (0..n).map(|_| rng.gen_range(0..hi)).collect();
+            let mut sorted = samples.clone();
+            sorted.sort_unstable();
+            let st = LatencyStats::of(&samples);
+            let sum: u128 = samples.iter().map(|&x| u128::from(x)).sum();
+            assert_eq!(st.count, n as u64);
+            assert_eq!(st.p50_ns, percentile_ns(&sorted, 50.0), "n={n}");
+            assert_eq!(st.p95_ns, percentile_ns(&sorted, 95.0), "n={n}");
+            assert_eq!(st.p99_ns, percentile_ns(&sorted, 99.0), "n={n}");
+            assert_eq!(u128::from(st.mean_ns), sum / n as u128);
+            for p in [0.0, 1.0, 50.0, 95.0, 99.0, 99.9, 100.0] {
+                let mut work = samples.clone();
+                assert_eq!(
+                    select_percentile_ns(&mut work, p),
+                    percentile_ns(&sorted, p),
+                    "n={n} p={p}"
+                );
+            }
+        }
+        assert_eq!(select_percentile_ns(&mut [], 99.0), 0);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! input stream under request k's compute — the two amortizations
 //! arXiv:2404.01908 and arXiv:2505.05911 identify.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use ulp_kernels::{Benchmark, TargetEnv};
 use ulp_link::FaultInjector;
@@ -41,10 +41,10 @@ use crate::chaos::{
 };
 use crate::error::ServeError;
 use crate::metrics::{
-    percentile_ns, LatencyStats, OutcomeKind, PowerEvent, RequestOutcome, ServeReport, SloLedger,
-    TenantReport,
+    select_percentile_ns, LatencyStats, OutcomeKind, PowerEvent, RequestOutcome, ServeReport,
+    SloLedger, TenantReport,
 };
-use crate::request::{ServeRequest, TenantSpec};
+use crate::request::{DeadlineClass, ServeRequest, TenantSpec};
 
 /// One measured kernel of a [`CostBook`].
 #[derive(Clone, Debug)]
@@ -72,6 +72,8 @@ struct BookEntry {
 #[derive(Clone, Debug)]
 pub struct CostBook {
     entries: Vec<BookEntry>,
+    /// `slots[b as usize]` is kernel `b`'s position in `entries`.
+    slots: [Option<usize>; Benchmark::ALL.len()],
 }
 
 impl CostBook {
@@ -141,10 +143,13 @@ impl CostBook {
             })
         });
         let mut entries = Vec::with_capacity(benchmarks.len());
+        let mut slots = [None; Benchmark::ALL.len()];
         for r in measured {
-            entries.push(r?);
+            let e = r?;
+            slots[e.benchmark as usize].get_or_insert(entries.len());
+            entries.push(e);
         }
-        Ok(CostBook { entries })
+        Ok(CostBook { entries, slots })
     }
 
     /// The measured cost of one kernel.
@@ -185,7 +190,7 @@ impl CostBook {
     /// Position of a kernel in the book, or `None` if unmeasured.
     #[must_use]
     pub fn index_of(&self, b: Benchmark) -> Option<usize> {
-        self.entries.iter().position(|e| e.benchmark == b)
+        self.slots[b as usize]
     }
 
     /// Position of a kernel, as a contextful error for soak harnesses.
@@ -195,10 +200,7 @@ impl CostBook {
     }
 
     fn entry(&self, b: Benchmark) -> &BookEntry {
-        self.entries
-            .iter()
-            .find(|e| e.benchmark == b)
-            .expect("benchmark not in cost book")
+        &self.entries[self.index_of(b).expect("benchmark not in cost book")]
     }
 }
 
@@ -410,9 +412,18 @@ struct Worker {
     busy_ns: u64,
 }
 
+/// One tenant's admitted requests and its run tallies.
+///
+/// The queue is one FIFO per (class rank, kernel index) pair, each in
+/// `(arrival_ns, id)` order. The tenant's `(class, arrival, id)`-least
+/// request is therefore the least of at most `3 × kernels` fronts, and a
+/// same-kernel batch pops the kernel's FIFOs class by class.
 struct TenantState {
     spec: TenantSpec,
-    queue: Vec<ServeRequest>,
+    /// `fifos[rank][kernel]`.
+    fifos: [Vec<VecDeque<ServeRequest>>; DeadlineClass::ALL.len()],
+    /// Requests queued across all FIFOs.
+    len: usize,
     vtime: u64,
     latencies: Vec<u64>,
     rejected: u64,
@@ -421,9 +432,190 @@ struct TenantState {
     failed: u64,
 }
 
+/// Least `(arrival_ns, id)` front among one class's kernel FIFOs, with
+/// its kernel index.
+fn oldest_front(class: &[VecDeque<ServeRequest>]) -> Option<(usize, ServeRequest)> {
+    class
+        .iter()
+        .enumerate()
+        .filter_map(|(k, fifo)| fifo.front().map(|r| (k, *r)))
+        .min_by_key(|(_, r)| (r.arrival_ns, r.id))
+}
+
+impl TenantState {
+    fn new(spec: TenantSpec, kernels: usize) -> Self {
+        TenantState {
+            spec,
+            fifos: std::array::from_fn(|_| vec![VecDeque::new(); kernels]),
+            len: 0,
+            vtime: 0,
+            latencies: Vec::new(),
+            rejected: 0,
+            deadline_misses: 0,
+            failed_over: 0,
+            failed: 0,
+        }
+    }
+
+    /// Queues `r` (of kernel index `kernel`) at its `(arrival_ns, id)`
+    /// position — the back, for an arrival-sorted stream with unique ids.
+    fn push(&mut self, r: ServeRequest, kernel: usize) {
+        let fifo = &mut self.fifos[r.class.rank() as usize][kernel];
+        let at = fifo.partition_point(|q| (q.arrival_ns, q.id) <= (r.arrival_ns, r.id));
+        fifo.insert(at, r);
+        self.len += 1;
+    }
+
+    /// The fair discipline's head: least `(class, arrival, id)`.
+    fn head(&self) -> Option<(usize, ServeRequest)> {
+        self.fifos.iter().find_map(|class| oldest_front(class))
+    }
+
+    /// The global-FIFO discipline's head: least `(arrival, id)`.
+    fn oldest(&self) -> Option<(usize, ServeRequest)> {
+        self.fifos
+            .iter()
+            .filter_map(|class| oldest_front(class))
+            .min_by_key(|(_, r)| (r.arrival_ns, r.id))
+    }
+
+    fn has_kernel(&self, kernel: usize) -> bool {
+        self.fifos.iter().any(|class| !class[kernel].is_empty())
+    }
+}
+
+/// Every tenant's queue plus the pool-wide scheduling state the
+/// dispatch loop reads on each wake-up: total depth and the fairness
+/// floor. For an arrival-sorted stream, admission costs O(log FIFO
+/// length), head selection O(tenants + classes × kernels), and batch
+/// removal O(batch + tenants + classes × kernels) — never O(queue
+/// depth).
+struct Backlog {
+    tenants: Vec<TenantState>,
+    /// Requests queued across all tenants.
+    depth: usize,
+    /// Fairness floor for newly backlogged tenants.
+    vnow: u64,
+    /// Scratch tenant order for cross-tenant top-ups.
+    order: Vec<usize>,
+}
+
+impl Backlog {
+    fn new(specs: &[TenantSpec], kernels: usize) -> Self {
+        Backlog {
+            tenants: specs
+                .iter()
+                .map(|spec| TenantState::new(spec.clone(), kernels))
+                .collect(),
+            depth: 0,
+            vnow: 0,
+            order: Vec::new(),
+        }
+    }
+
+    fn admit(&mut self, r: ServeRequest, kernel: usize) {
+        let t = &mut self.tenants[r.tenant];
+        if t.len == 0 {
+            // A tenant returning from idle starts at the current
+            // fairness floor instead of spending banked credit.
+            t.vtime = t.vtime.max(self.vnow);
+        }
+        t.push(r, kernel);
+        self.depth += 1;
+    }
+
+    /// The request the next batch will be built around, with its kernel
+    /// index: under fair scheduling the least-vtime backlogged tenant's
+    /// `(class, arrival, id)`-least request, otherwise the pool-wide
+    /// `(arrival, id)`-least one.
+    fn head(&self, fair: bool) -> Option<(usize, ServeRequest)> {
+        if fair {
+            self.tenants
+                .iter()
+                .filter(|t| t.len > 0)
+                .min_by_key(|t| t.vtime)?
+                .head()
+        } else {
+            self.tenants
+                .iter()
+                .filter_map(TenantState::oldest)
+                .min_by_key(|(_, r)| (r.arrival_ns, r.id))
+        }
+    }
+
+    /// Moves the next batch into `batch`: the head's kernel, topped up
+    /// with same-kernel requests (the head's tenant first, then — if
+    /// `cross_tenant` — other tenants in fairness order), each tenant's
+    /// share in `(class, arrival, id)` order. Charges every request's
+    /// estimated serial cost (`est_ns` per iteration) to its tenant's
+    /// virtual time.
+    fn take_batch(
+        &mut self,
+        head: &ServeRequest,
+        kernel: usize,
+        est_ns: u64,
+        cfg: &ServeConfig,
+        batch: &mut Vec<ServeRequest>,
+    ) {
+        let max_batch = cfg.policy.max_batch();
+        batch.clear();
+        self.take_from(head.tenant, kernel, est_ns, max_batch, batch);
+        if cfg.cross_tenant && batch.len() < max_batch {
+            let mut order = std::mem::take(&mut self.order);
+            order.clear();
+            order.extend(
+                (0..self.tenants.len())
+                    .filter(|&i| i != head.tenant && self.tenants[i].has_kernel(kernel)),
+            );
+            if cfg.fair {
+                order.sort_by_key(|&i| (self.tenants[i].vtime, i));
+            }
+            for &ti in &order {
+                if batch.len() >= max_batch {
+                    break;
+                }
+                self.take_from(ti, kernel, est_ns, max_batch, batch);
+            }
+            self.order = order;
+        }
+        assert!(!batch.is_empty(), "head request must be batched");
+    }
+
+    /// Pops tenant `ti`'s `kernel` requests class by class until `batch`
+    /// holds `max_batch`, and charges them to the tenant.
+    fn take_from(
+        &mut self,
+        ti: usize,
+        kernel: usize,
+        est_ns: u64,
+        max_batch: usize,
+        batch: &mut Vec<ServeRequest>,
+    ) {
+        let t = &mut self.tenants[ti];
+        let start = batch.len();
+        let mut charged = 0u64;
+        for class in &mut t.fifos {
+            let fifo = &mut class[kernel];
+            while batch.len() < max_batch {
+                let Some(r) = fifo.pop_front() else { break };
+                charged += est_ns.saturating_mul(r.iterations.max(1) as u64);
+                batch.push(r);
+            }
+        }
+        let taken = batch.len() - start;
+        if taken == 0 {
+            return;
+        }
+        t.len -= taken;
+        self.depth -= taken;
+        self.vnow = self.vnow.max(t.vtime);
+        t.vtime += charged / u64::from(t.spec.weight.max(1));
+    }
+}
+
 /// Healthy price of one dispatch shape, cached so a million-request soak
-/// calls the queue planner once per distinct (kernel, batch size, ship)
-/// triple instead of once per dispatch.
+/// calls the queue planner once per distinct (operating point, kernel,
+/// batch iterations, ship) shape instead of once per dispatch.
 #[derive(Clone, Copy, Debug)]
 struct Price {
     /// Fault-free service time including dispatch overhead, ns.
@@ -459,15 +651,21 @@ pub struct ServePool {
     chaos: ChaosConfig,
     timeline: Timeline,
     timing: LinkTiming,
-    /// Memoized dispatch prices keyed by (operating point, kernel, batch
-    /// iterations, ships-binary).
-    price_cache: BTreeMap<(usize, usize, usize, bool), Price>,
+    /// Memoized dispatch prices: slot `(op × kernels + kernel) × 2 +
+    /// ships-binary` holds `(batch iterations, price)` pairs sorted by
+    /// iterations.
+    prices: Vec<Vec<(usize, Price)>>,
 }
 
 impl ServePool {
     /// Builds a pool of `cfg.pool` identical workers (with autoscaling
     /// configured, `autoscale.max_workers` workers of which `cfg.pool`
     /// start active).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the pool would allocate more than 65 536 workers:
+    /// trace worker ids ([`Component::Worker`]) are 16-bit.
     #[must_use]
     pub fn new(
         sys_config: &HetSystemConfig,
@@ -479,6 +677,10 @@ impl ServePool {
             .autoscale
             .map_or(cfg.pool, |p| p.max_workers.max(cfg.pool))
             .max(1);
+        assert!(
+            alloc <= usize::from(u16::MAX) + 1,
+            "a pool holds at most 65536 workers, asked for {alloc}"
+        );
         let workers = (0..alloc)
             .map(|_| Worker {
                 resident: None,
@@ -496,7 +698,8 @@ impl ServePool {
                 rung.pulp_freq_hz = rung.power.fmax_hz(vdd).min(sys_config.pulp_freq_hz);
                 HetSystem::new(rung)
             })
-            .collect();
+            .collect::<Vec<_>>();
+        let prices = vec![Vec::new(); planners.len() * book.entries.len() * 2];
         ServePool {
             cfg,
             book,
@@ -508,7 +711,7 @@ impl ServePool {
             chaos: ChaosConfig::default(),
             timeline: Timeline::default(),
             timing: LinkTiming::new(sys_config),
-            price_cache: BTreeMap::new(),
+            prices,
         }
     }
 
@@ -581,28 +784,14 @@ impl ServePool {
             w.free_at_ns = 0;
             w.busy_ns = 0;
         }
-        let mut tenants: Vec<TenantState> = self
-            .tenants
-            .iter()
-            .map(|spec| TenantState {
-                spec: spec.clone(),
-                queue: Vec::new(),
-                vtime: 0,
-                latencies: Vec::new(),
-                rejected: 0,
-                deadline_misses: 0,
-                failed_over: 0,
-                failed: 0,
-            })
-            .collect();
+        let mut backlog = Backlog::new(&self.tenants, self.book.entries.len());
         let mut injectors: Vec<Option<FaultInjector>> = (0..self.workers.len())
             .map(|i| self.chaos.injector_for(i))
             .collect();
 
-        let max_batch = self.cfg.policy.max_batch();
+        let mut batch: Vec<ServeRequest> = Vec::with_capacity(self.cfg.policy.max_batch());
         let mut next_arrival = 0usize;
         let mut now = 0u64;
-        let mut vnow = 0u64; // fairness floor for newly-backlogged tenants
         let mut batch_hist: Vec<u64> = Vec::new();
         let mut uploads = 0u64;
         let mut makespan = 0u64;
@@ -611,7 +800,7 @@ impl ServePool {
         let mut admitted = 0u64;
         let mut completed = 0u64;
         let mut stats = ChaosStats::default();
-        let mut ledger = SloLedger::new(tenants.len());
+        let mut ledger = SloLedger::new(backlog.tenants.len());
         let mut outcomes: Vec<RequestOutcome> = Vec::with_capacity(requests.len());
 
         // Autoscaler state: `active` gates dispatch to the worker prefix
@@ -667,19 +856,18 @@ impl ServePool {
             // action fires, so each decision sees fresh evidence.
             if let Some(policy) = auto {
                 while let Some(nd) = next_decision.filter(|&nd| nd <= now) {
-                    let depth: usize = tenants.iter().map(|t| t.queue.len()).sum();
-                    let mut window = std::mem::take(&mut window_lat);
-                    window.sort_unstable();
-                    let p99 = percentile_ns(&window, 99.0);
+                    let p99 = select_percentile_ns(&mut window_lat, 99.0);
+                    window_lat.clear();
                     if nd >= cooldown_until {
-                        if let ScaleDecision::Scale(to, reason) = policy.decide(active, depth, p99)
+                        if let ScaleDecision::Scale(to, reason) =
+                            policy.decide(active, backlog.depth, p99)
                         {
                             scale_events.push(ScaleEvent {
                                 at_ns: nd,
                                 group: 0,
                                 from: active,
                                 to,
-                                queue_depth: depth,
+                                queue_depth: backlog.depth,
                                 window_p99_ns: p99,
                                 reason,
                             });
@@ -746,16 +934,15 @@ impl ServePool {
                 let r = requests[next_arrival];
                 next_arrival += 1;
                 let priced = self.cfg.admission.enabled && {
-                    let depth: usize = tenants.iter().map(|t| t.queue.len()).sum();
                     let target = (active as u64
                         * u64::from(self.cfg.admission.target_depth_per_worker))
                     .max(1);
-                    let pressure_pct = depth as u64 * 100 / target;
+                    let pressure_pct = backlog.depth as u64 * 100 / target;
                     pressure_pct
                         >= u64::from(self.cfg.admission.ceiling_pct[r.class.rank() as usize])
                 };
-                let t = &mut tenants[r.tenant];
-                if priced || t.queue.len() >= t.spec.queue_cap {
+                let t = &mut backlog.tenants[r.tenant];
+                if priced || t.len >= t.spec.queue_cap {
                     priced_out += u64::from(priced);
                     t.rejected += 1;
                     let o = RequestOutcome {
@@ -772,18 +959,14 @@ impl ServePool {
                     continue;
                 }
                 admitted += 1;
-                if t.queue.is_empty() {
-                    // A tenant returning from idle starts at the current
-                    // fairness floor instead of spending banked credit.
-                    t.vtime = t.vtime.max(vnow);
-                }
-                t.queue.push(r);
+                let kernel = self.book.index_of(r.benchmark).expect("validated above");
+                backlog.admit(r, kernel);
             }
-            max_depth = max_depth.max(tenants.iter().map(|t| t.queue.len()).sum());
+            max_depth = max_depth.max(backlog.depth);
 
             // Dispatch while an active worker is idle and work is queued.
-            while tenants.iter().any(|t| !t.queue.is_empty()) {
-                let Some(widx) = self.idle_worker(&tenants, now, active) else {
+            while backlog.depth > 0 {
+                let Some((widx, bidx, head)) = self.idle_worker(&backlog, now, active) else {
                     // Stalled purely by the timeline (an otherwise-idle
                     // worker exists but is blacked out)? Count it — the
                     // scheduler will wake at the blackout's end.
@@ -796,9 +979,9 @@ impl ServePool {
                     }
                     break;
                 };
-                let batch = self.take_batch(&mut tenants, &mut vnow, max_batch);
-                let kernel = batch[0].benchmark;
-                let bidx = self.book.try_index(kernel)?;
+                let est_ns = self.book.entries[bidx].est_ns;
+                backlog.take_batch(&head, bidx, est_ns, &self.cfg, &mut batch);
+                let kernel = head.benchmark;
                 let ship = self.workers[widx].resident != Some(kernel);
                 let iterations: usize = batch.iter().map(|r| r.iterations.max(1)).sum();
                 let price = self.price(op, bidx, iterations, ship);
@@ -848,9 +1031,9 @@ impl ServePool {
                     batch_hist.resize(batch.len(), 0);
                 }
                 batch_hist[batch.len() - 1] += 1;
-                let depth: usize = tenants.iter().map(|t| t.queue.len()).sum();
+                let wid = u16::try_from(widx).expect("ServePool::new bounds the worker count");
                 self.tracer.emit(
-                    Component::Worker(widx as u8),
+                    Component::Worker(wid),
                     EventKind::Batch {
                         size: batch.len() as u32,
                     },
@@ -858,9 +1041,9 @@ impl ServePool {
                     service_ns,
                 );
                 self.tracer.emit(
-                    Component::Worker(widx as u8),
+                    Component::Worker(wid),
                     EventKind::QueueDepth {
-                        depth: depth as u32,
+                        depth: backlog.depth as u32,
                     },
                     now,
                     0,
@@ -873,7 +1056,7 @@ impl ServePool {
                     BatchFate::Failed => OutcomeKind::Failed,
                 };
                 for r in &batch {
-                    let t = &mut tenants[r.tenant];
+                    let t = &mut backlog.tenants[r.tenant];
                     match fate {
                         BatchFate::Served | BatchFate::FailedOver => {
                             let latency = done - r.arrival_ns;
@@ -917,7 +1100,7 @@ impl ServePool {
             // Advance the virtual clock to the next event. A scheduler
             // stalled by blackouts with work still queued must wake when
             // the earliest blackout lifts, or requests would strand.
-            let queued = tenants.iter().any(|t| !t.queue.is_empty());
+            let queued = backlog.depth > 0;
             let next_t = [
                 (next_arrival < requests.len()).then(|| requests[next_arrival].arrival_ns),
                 self.workers
@@ -960,14 +1143,16 @@ impl ServePool {
             }
         }
 
-        let stranded: u64 = tenants.iter().map(|t| t.queue.len() as u64).sum();
+        let stranded = backlog.depth as u64;
+        let tenants = backlog.tenants;
         let mut all: Vec<u64> = Vec::new();
         for t in &tenants {
             all.extend_from_slice(&t.latencies);
         }
         for (i, w) in self.workers.iter().enumerate() {
+            let wid = u16::try_from(i).expect("ServePool::new bounds the worker count");
             self.tracer
-                .set_counter(Component::Worker(i as u8), w.busy_ns, makespan);
+                .set_counter(Component::Worker(wid), w.busy_ns, makespan);
         }
         for inj in injectors.iter().flatten() {
             stats.absorb(inj.stats());
@@ -1011,109 +1196,25 @@ impl ServePool {
     }
 
     /// Picks an idle, non-blacked-out worker from the active prefix,
-    /// preferring one whose resident kernel will match the next dispatch
-    /// (lowest index wins ties for determinism). `None` when every
-    /// active worker is busy or out.
-    fn idle_worker(&self, tenants: &[TenantState], now: u64, active: usize) -> Option<usize> {
-        let head = self.head_request(tenants)?;
-        let mut first_idle = None;
-        for (i, w) in self.workers[..active].iter().enumerate() {
-            if w.free_at_ns > now || self.timeline.blacked_out(i, now) {
-                continue;
-            }
-            if w.resident == Some(head.benchmark) {
-                return Some(i);
-            }
-            if first_idle.is_none() {
-                first_idle = Some(i);
-            }
-        }
-        first_idle
-    }
-
-    /// The request the next batch will be built around, under the
-    /// configured discipline.
-    fn head_request(&self, tenants: &[TenantState]) -> Option<ServeRequest> {
-        if self.cfg.fair {
-            let t = tenants
-                .iter()
-                .filter(|t| !t.queue.is_empty())
-                .min_by_key(|t| t.vtime)?;
-            t.queue
-                .iter()
-                .min_by_key(|r| (r.class.rank(), r.arrival_ns, r.id))
-                .copied()
-        } else {
-            tenants
-                .iter()
-                .flat_map(|t| t.queue.iter())
-                .min_by_key(|r| (r.arrival_ns, r.id))
-                .copied()
-        }
-    }
-
-    /// Removes the next batch from the queues: the head request's
-    /// kernel, topped up with same-kernel requests (same tenant first,
-    /// then — if allowed — other tenants in fairness order). Charges
-    /// every request's estimated serial cost to its tenant's virtual
-    /// time.
-    fn take_batch(
+    /// preferring one whose resident kernel matches the next dispatch's
+    /// head request (lowest index wins ties for determinism), and
+    /// returns it with the head's kernel index and the head. `None` when
+    /// every active worker is busy or out — decided before any queue is
+    /// read, so a wake-up with the pool saturated costs O(active).
+    fn idle_worker(
         &self,
-        tenants: &mut [TenantState],
-        vnow: &mut u64,
-        max_batch: usize,
-    ) -> Vec<ServeRequest> {
-        let head = self.head_request(tenants).expect("queues not empty");
-        let kernel = head.benchmark;
-        let mut batch: Vec<ServeRequest> = Vec::with_capacity(max_batch);
-
-        let mut tenant_order: Vec<usize> = (0..tenants.len()).collect();
-        if self.cfg.fair {
-            tenant_order.sort_by_key(|&i| (tenants[i].vtime, i));
-        }
-        // The head's tenant always leads its own batch.
-        tenant_order.retain(|&i| i != head.tenant);
-        tenant_order.insert(0, head.tenant);
-
-        for ti in tenant_order {
-            if batch.len() >= max_batch {
-                break;
-            }
-            if ti != head.tenant && !self.cfg.cross_tenant {
-                break;
-            }
-            let t = &mut tenants[ti];
-            let mut candidates: Vec<(u8, u64, u64)> = t
-                .queue
-                .iter()
-                .filter(|r| r.benchmark == kernel)
-                .map(|r| (r.class.rank(), r.arrival_ns, r.id))
-                .collect();
-            candidates.sort_unstable();
-            candidates.truncate(max_batch - batch.len());
-            let mut picks: Vec<u64> = candidates.into_iter().map(|(_, _, id)| id).collect();
-            picks.sort_unstable();
-            if picks.is_empty() {
-                continue;
-            }
-            let mut charged = 0u64;
-            let mut taken: Vec<ServeRequest> = Vec::with_capacity(picks.len());
-            t.queue.retain(|r| {
-                if picks.binary_search(&r.id).is_ok() {
-                    charged += self.book.est_ns(r.benchmark, r.iterations);
-                    taken.push(*r);
-                    false
-                } else {
-                    true
-                }
-            });
-            *vnow = (*vnow).max(t.vtime);
-            t.vtime += charged / u64::from(t.spec.weight.max(1));
-            taken.sort_by_key(|r| (r.class.rank(), r.arrival_ns, r.id));
-            batch.extend(taken);
-        }
-        assert!(!batch.is_empty(), "head request must be batched");
-        batch
+        backlog: &Backlog,
+        now: u64,
+        active: usize,
+    ) -> Option<(usize, usize, ServeRequest)> {
+        let idle =
+            |i: usize| self.workers[i].free_at_ns <= now && !self.timeline.blacked_out(i, now);
+        let first = (0..active).find(|&i| idle(i))?;
+        let (kernel, head) = backlog.head(self.cfg.fair)?;
+        let widx = (first..active)
+            .find(|&i| self.workers[i].resident == Some(head.benchmark) && idle(i))
+            .unwrap_or(first);
+        Some((widx, kernel, head))
     }
 
     /// Healthy price of a batch on one worker, via the pure queue
@@ -1125,9 +1226,11 @@ impl ServePool {
     /// the steady-state rate. A serial dispatch (batch of one)
     /// degenerates to the ordinary single offload.
     fn price(&mut self, op: usize, bidx: usize, iterations: usize, ship: bool) -> Price {
-        if let Some(&p) = self.price_cache.get(&(op, bidx, iterations, ship)) {
-            return p;
-        }
+        let slot = (op * self.book.entries.len() + bidx) * 2 + usize::from(ship);
+        let at = match self.prices[slot].binary_search_by_key(&iterations, |&(n, _)| n) {
+            Ok(i) => return self.prices[slot][i].1,
+            Err(i) => i,
+        };
         let job = PlannedJob {
             cost: &self.book.entries[bidx].cost,
             opts: OffloadOptions {
@@ -1145,7 +1248,7 @@ impl ServePool {
             compute_ns: (plan.reports[0].compute_seconds * 1e9).round() as u64,
             energy_j: plan.reports[0].total_energy_joules() + overhead_s * overhead_w,
         };
-        self.price_cache.insert((op, bidx, iterations, ship), price);
+        self.prices[slot].insert(at, (iterations, price));
         price
     }
 }
@@ -1317,6 +1420,65 @@ mod tests {
         assert!(counters
             .iter()
             .any(|(c, k)| *c == Component::Worker(0) && k.total == r.makespan_ns));
+    }
+
+    /// Worker ids above 255 must keep their own trace tracks: 400
+    /// simultaneous serial requests keep all 300 workers of a traced pool
+    /// busy at once.
+    #[test]
+    fn traced_300_worker_pool_emits_300_worker_tracks() {
+        let tracer = Tracer::enabled();
+        let mut spec = TenantSpec::new("t");
+        spec.queue_cap = 1_000;
+        let reqs: Vec<ServeRequest> = (0..400)
+            .map(|id| ServeRequest {
+                id,
+                tenant: 0,
+                benchmark: Benchmark::MatMul,
+                iterations: 1,
+                class: DeadlineClass::Standard,
+                arrival_ns: 0,
+            })
+            .collect();
+        let mut p = ServePool::new(
+            &HetSystemConfig::default(),
+            vec![spec],
+            book(),
+            ServeConfig {
+                pool: 300,
+                policy: BatchPolicy::Serial,
+                ..ServeConfig::default()
+            },
+        )
+        .with_tracer(tracer.clone());
+        p.run(&reqs).unwrap();
+        let mut tracks: Vec<Component> = tracer
+            .events()
+            .iter()
+            .map(|e| e.component)
+            .filter(|c| matches!(c, Component::Worker(_)))
+            .collect();
+        tracks.sort();
+        tracks.dedup();
+        assert_eq!(tracks.len(), 300);
+        assert_eq!(tracks.last(), Some(&Component::Worker(299)));
+        assert_eq!(tracer.counters().len(), 300);
+        let json = tracer.chrome_json();
+        assert_eq!(json.matches("\"args\":{\"name\":\"worker").count(), 300);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536 workers")]
+    fn pools_beyond_the_trace_id_space_are_refused() {
+        let _ = ServePool::new(
+            &HetSystemConfig::default(),
+            vec![TenantSpec::new("t")],
+            book(),
+            ServeConfig {
+                pool: 65_537,
+                ..ServeConfig::default()
+            },
+        );
     }
 
     #[test]

@@ -78,8 +78,9 @@ pub enum Component {
     Host,
     /// One serving-layer worker (a pooled accelerator system), by index.
     /// Host-domain: timestamps are virtual-clock nanoseconds of the
-    /// serving schedule.
-    Worker(u8),
+    /// serving schedule. 16 bits, so a 1024-worker fleet group gets one
+    /// track per worker.
+    Worker(u16),
 }
 
 impl Component {
