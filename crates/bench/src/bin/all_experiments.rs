@@ -7,17 +7,5 @@
 fn main() {
     let rest = ulp_bench::init_jobs_from_args();
     assert!(rest.is_empty(), "usage: all_experiments [--jobs N]");
-    let measurements = ulp_bench::measure::measure_all();
-    println!("{}", ulp_bench::table1::render(&measurements));
-    println!("{}", ulp_bench::fig3::run());
-    println!("{}", ulp_bench::fig4::render(&measurements));
-    println!(
-        "{}",
-        ulp_bench::fig5a::render(&ulp_bench::fig5a::compute(&measurements))
-    );
-    println!("{}", ulp_bench::fig5b::run());
-    println!("{}", ulp_bench::ablation::run());
-    println!("{}", ulp_bench::extensions::run());
-    println!("{}", ulp_bench::scaling::run());
-    println!("{}", ulp_bench::faults::run());
+    print!("{}", ulp_bench::full_report());
 }

@@ -51,28 +51,11 @@ fn main() {
     // land on the first timed suite.
     std::hint::black_box(ulp_bench::table1::run().len());
 
-    let mut suites: Vec<SuitePerf> = Vec::new();
-    suites.push(simperf::time_suite("table1", ulp_bench::table1::run));
-    suites.push(simperf::time_suite(
-        "pipeline_table",
-        ulp_bench::pipeline::run,
-    ));
-    suites.push(simperf::time_suite("all_experiments", || {
-        let measurements = ulp_bench::measure::measure_all();
-        let mut report = String::new();
-        report.push_str(&ulp_bench::table1::render(&measurements));
-        report.push_str(&ulp_bench::fig3::run());
-        report.push_str(&ulp_bench::fig4::render(&measurements));
-        report.push_str(&ulp_bench::fig5a::render(&ulp_bench::fig5a::compute(
-            &measurements,
-        )));
-        report.push_str(&ulp_bench::fig5b::run());
-        report.push_str(&ulp_bench::ablation::run());
-        report.push_str(&ulp_bench::extensions::run());
-        report.push_str(&ulp_bench::scaling::run());
-        report.push_str(&ulp_bench::faults::run());
-        report
-    }));
+    let suites: Vec<SuitePerf> = vec![
+        simperf::time_suite("table1", ulp_bench::table1::run),
+        simperf::time_suite("pipeline_table", ulp_bench::pipeline::run),
+        simperf::time_suite("all_experiments", ulp_bench::full_report),
+    ];
     for s in &suites {
         eprintln!(
             "simperf: {:16} {:7.3} cpu-s  {:>12} retired  {:7.2} simulated MIPS",

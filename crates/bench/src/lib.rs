@@ -77,6 +77,36 @@ pub fn init_jobs_from_args() -> Vec<String> {
     rest
 }
 
+/// The full experiments report: every table and figure of the
+/// evaluation, each followed by a newline, in the order
+/// `all_experiments` prints them (and `simperf` times them).
+#[must_use]
+pub fn full_report() -> String {
+    let measurements = measure::measure_all();
+    let mut report = String::new();
+    for section in [
+        table1::render(&measurements),
+        fig3::run(),
+        fig4::render(&measurements),
+        fig5a::render(&fig5a::compute(&measurements)),
+        fig5b::run(),
+        ablation::run(),
+        extensions::run(),
+        scaling::run(),
+        faults::run(),
+    ] {
+        report.push_str(&section);
+        report.push('\n');
+    }
+    report
+}
+
+/// Escapes a string for a JSON string literal. The harness's strings
+/// hold no control characters, so only backslashes and quotes need it.
+pub(crate) fn json_escape(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
 /// Renders an aligned plain-text table (header + rows).
 #[must_use]
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -114,6 +144,11 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_escapes_quotes() {
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+    }
 
     #[test]
     fn table_renders_aligned() {

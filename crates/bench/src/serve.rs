@@ -11,6 +11,7 @@
 //! every `--jobs` setting. The only wall-clock win `--jobs` buys is
 //! that independent scenarios simulate in parallel.
 
+use crate::json_escape;
 use ulp_kernels::{Benchmark, TargetEnv};
 use ulp_offload::HetSystemConfig;
 use ulp_par::par_map;
@@ -184,10 +185,6 @@ pub fn render_table(cells: &[ServeCell]) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Renders the committed `BENCH_serve.json`. Deliberately excludes the
 /// `--jobs` setting and every other machine fact: the file is a claim
 /// about the *model*, and must be byte-identical however it was
@@ -251,14 +248,4 @@ pub fn render_json(cells: &[ServeCell]) -> String {
 #[must_use]
 pub fn run() -> String {
     render_table(&study())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escapes_quotes() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-    }
 }

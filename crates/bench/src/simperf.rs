@@ -19,6 +19,8 @@
 //!   different checkout and host state, so ratios against them are
 //!   informational only.
 
+use crate::json_escape;
+
 /// Process CPU seconds (user + sys) consumed so far. On Linux this reads
 /// `/proc/self/stat` (steal-immune); elsewhere it falls back to wall time
 /// since first call, which still yields valid deltas.
@@ -303,10 +305,6 @@ pub const PRE_PR_BASELINE_REV: &str = "e2f45d3";
 /// array) replace. Rendered next to the fresh numbers so the report
 /// records the delta, with the usual different-host-state caveat.
 pub const PRE_PR_ENGINE_SECONDS: &[(&str, f64)] = &[("reference", 0.90), ("microop", 0.59)];
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 fn render_comparison(out: &mut String, c: &EngineComparison, with_pre_pr: bool) {
     out.push_str(&format!(

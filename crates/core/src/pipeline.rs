@@ -9,9 +9,9 @@
 //! * `map(to/from)` payloads are split into chunks of
 //!   [`PipelineConfig::chunk_bytes`];
 //! * chunks stream through a bounded ring of staging slots
-//!   ([`PipelineConfig::window`] deep, matching the sliding-window depth
-//!   of the link protocol), so the QSPI shift of chunk *k+1* overlaps the
-//!   cluster-DMA move of chunk *k*;
+//!   ([`PipelineConfig::window`] deep, at most the link's
+//!   [`MAX_WINDOW`](ulp_link::MAX_WINDOW) unacknowledged frames), so the
+//!   QSPI shift of chunk *k+1* overlaps the cluster-DMA move of chunk *k*;
 //! * TCDM input/output buffers are double-buffered across iterations (the
 //!   event unit hands a filled buffer set to the cores while the DMA
 //!   refills the other), so the transfers of iteration *i+1* overlap the
@@ -35,7 +35,7 @@ use ulp_trace::Overlap;
 /// header stays below 2% overhead.
 pub const DEFAULT_CHUNK_BYTES: usize = 512;
 
-/// Default staging-ring depth (also the link sliding-window depth).
+/// Default staging-ring depth.
 pub const DEFAULT_WINDOW: usize = 4;
 
 /// Smallest accepted chunk: below this the per-chunk frame header
@@ -51,8 +51,8 @@ pub struct PipelineConfig {
     /// Transfer chunk size in bytes (clamped to at least
     /// [`MIN_CHUNK_BYTES`]).
     pub chunk_bytes: usize,
-    /// Staging-ring depth / link sliding-window size (clamped to
-    /// `1..=`[`ulp_link::MAX_WINDOW`]).
+    /// Staging-ring depth: how many chunks the link may run ahead of the
+    /// cluster DMA (clamped to `1..=`[`ulp_link::MAX_WINDOW`]).
     pub window: usize,
 }
 
@@ -121,6 +121,20 @@ pub(crate) fn chunk_lens(len: usize, chunk: usize) -> Vec<usize> {
         rem -= c;
     }
     out
+}
+
+/// The frame payloads a `map` payload of `len` bytes crosses the link
+/// as: a train of chunks when the pipelined engine is on, one frame
+/// otherwise, none for an empty payload. `pipe` must be
+/// [normalized](PipelineConfig::normalized).
+pub(crate) fn frame_lens(len: usize, pipe: PipelineConfig) -> Vec<usize> {
+    if pipe.enabled {
+        chunk_lens(len, pipe.chunk_bytes)
+    } else if len > 0 {
+        vec![len]
+    } else {
+        Vec::new()
+    }
 }
 
 /// One chunk's cost on its two resources: the link shift and the cluster

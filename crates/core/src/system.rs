@@ -16,7 +16,6 @@ use ulp_power::PulpPowerModel;
 use ulp_trace::{Component, EventKind, Overlap, PhaseKind, Tracer};
 
 use crate::pipeline::{self, ChunkOp, PipelineConfig, PipelineJob, Schedule};
-use crate::queue::{OffloadQueue, QueueReport};
 use crate::region::{MapDir, TargetRegion};
 
 /// How the serial link is clocked (paper §V discusses all three).
@@ -330,6 +329,36 @@ pub struct PlannedJob<'a> {
     pub opts: OffloadOptions,
     /// True when the program binary must be shipped before this job.
     pub ship_binary: bool,
+}
+
+/// Result of planning a queue of offload jobs with
+/// [`HetSystem::plan_queue`].
+#[derive(Clone, Debug)]
+pub struct QueueReport {
+    /// Per-job reports, in queue order — each identical to what
+    /// [`HetSystem::predict`] returns for that job under the queue's
+    /// pipeline config.
+    pub reports: Vec<OffloadReport>,
+    /// Wall-clock of running every job strictly serialized (no overlap of
+    /// any kind), the baseline `total_seconds` is clamped to.
+    pub serialized_seconds: f64,
+    /// Modeled wall-clock of the queue as planned (never above
+    /// `serialized_seconds`).
+    pub total_seconds: f64,
+    /// Concurrency accounting of the shared cross-kernel schedule
+    /// (all-zero when the queue is planned serialized).
+    pub overlap: Overlap,
+}
+
+/// Healthy phase seconds of one offload, the input of the energy ledger
+/// that [`HetSystem::predict`] and the fault-aware path share.
+#[derive(Clone, Copy, Debug, Default)]
+struct PhaseSeconds {
+    binary: f64,
+    input: f64,
+    output: f64,
+    compute: f64,
+    sync: f64,
 }
 
 /// What resilience cost on top of the healthy offload: recovery events and
@@ -668,50 +697,27 @@ impl HetSystem {
         let iterations = opts.iterations.max(1);
         let mcu_hz = self.config.mcu_freq_hz;
         let f_pulp = self.config.pulp_freq_hz;
-
-        let (spi_drive_hz, transfer_mcu_hz) = self.link_clocks();
+        let (spi_drive_hz, _) = self.link_clocks();
 
         // Each mapped buffer travels in one Frame (10-byte header).
         let binary_seconds = if include_binary {
             self.link
-                .transfer_seconds(cost.offload_bytes + 10, spi_drive_hz)
+                .transfer_seconds(cost.offload_bytes + FRAME_OVERHEAD, spi_drive_hz)
         } else {
             0.0
         };
-        let input_bytes: usize = cost.input_frames.iter().sum();
-        let t_in: f64 = if opts.sensor_direct {
-            // Inputs stream from the sensor straight into the accelerator
-            // memory over the dedicated interface; the link is untouched.
-            input_bytes as f64 / self.config.sensor_bandwidth
-        } else {
-            cost.input_frames
-                .iter()
-                .map(|len| self.link.transfer_seconds(len + 10, spi_drive_hz))
-                .sum()
-        };
-        let t_out: f64 = cost
-            .output_frames
-            .iter()
-            .map(|len| self.link.transfer_seconds(len + 10, spi_drive_hz))
-            .sum();
-
+        let (t_in, t_out) = self.iteration_transfer_seconds(cost, opts);
         let t_compute_cold = cost.cycles_cold as f64 / f_pulp;
         let t_compute_warm = cost.cycles_warm as f64 / f_pulp;
-        let compute_seconds = t_compute_cold + (iterations - 1) as f64 * t_compute_warm;
-        let input_seconds = t_in * iterations as f64;
-        let output_seconds = t_out * iterations as f64;
-        // Two GPIO edges per iteration, ~10 host cycles each.
-        let sync_seconds = iterations as f64 * 20.0 / mcu_hz;
-
-        // Double buffering hides min(compute, in+out) of each steady
-        // iteration (transfers for iteration i+1 and results of i-1 move
-        // while i computes); the pipeline fill (first input) and drain
-        // (last output) remain exposed.
-        let legacy_overlap = if opts.double_buffer && iterations > 1 {
-            (t_in + t_out).min(t_compute_warm) * (iterations - 1) as f64
-        } else {
-            0.0
+        let phases = PhaseSeconds {
+            binary: binary_seconds,
+            input: t_in * iterations as f64,
+            output: t_out * iterations as f64,
+            compute: t_compute_cold + (iterations - 1) as f64 * t_compute_warm,
+            // Two GPIO edges per iteration, ~10 host cycles each.
+            sync: iterations as f64 * 20.0 / mcu_hz,
         };
+        let mut report = self.healthy_report(cost, opts, include_binary, phases, iterations);
 
         // The pipelined engine: schedule the same work chunked and
         // double-buffered, and adopt whichever hides more — the phase
@@ -719,66 +725,117 @@ impl HetSystem {
         // pipelined report differs from its serialized twin only in
         // `overlapped_seconds` and `overlap`.
         let pipe = opts.pipeline.normalized();
-        let (overlapped_seconds, overlap) = if pipe.enabled {
-            let serial_core = binary_seconds + input_seconds + output_seconds + compute_seconds;
+        if pipe.enabled {
+            let serial_core = phases.binary + phases.input + phases.output + phases.compute;
             let job = self.pipeline_job(cost, opts, include_binary, pipe);
             let mut sched = Schedule::new(pipe.window);
             pipeline::schedule_job(&mut sched, &job);
             let gain = serial_core - sched.makespan() as f64 / 1e9;
-            let mut o = sched.overlap();
-            o.engaged = gain > legacy_overlap && gain > 0.0;
-            (legacy_overlap.max(gain).max(0.0), o)
-        } else {
-            (legacy_overlap, Overlap::default())
-        };
+            let legacy_overlap = report.overlapped_seconds;
+            report.overlap = sched.overlap();
+            report.overlap.engaged = gain > legacy_overlap && gain > 0.0;
+            report.overlapped_seconds = legacy_overlap.max(gain).max(0.0);
+        }
+        report
+    }
 
-        // ---- energy ledger ----------------------------------------------
+    /// Seconds one iteration's inputs and outputs take, each `map` buffer
+    /// as one frame; with a direct sensor interface the inputs take that
+    /// interface instead of the link.
+    fn iteration_transfer_seconds(&self, cost: &OffloadCost, opts: &OffloadOptions) -> (f64, f64) {
+        let (spi_drive_hz, _) = self.link_clocks();
+        let frames = |lens: &[usize]| -> f64 {
+            lens.iter()
+                .map(|len| {
+                    self.link
+                        .transfer_seconds(len + FRAME_OVERHEAD, spi_drive_hz)
+                })
+                .sum()
+        };
+        let t_in = if opts.sensor_direct {
+            // Inputs stream from the sensor straight into the accelerator
+            // memory over the dedicated interface; the link is untouched.
+            cost.input_frames.iter().sum::<usize>() as f64 / self.config.sensor_bandwidth
+        } else {
+            frames(&cost.input_frames)
+        };
+        (t_in, frames(&cost.output_frames))
+    }
+
+    /// The healthy energy ledger of an offload whose device completed
+    /// `completed` iterations in the given phase seconds: host,
+    /// accelerator and link energy, the host-task cycles, and the legacy
+    /// double-buffer overlap (returned as `overlapped_seconds`). The
+    /// pipelined gain and any recovery surcharge are the caller's.
+    fn healthy_report(
+        &self,
+        cost: &OffloadCost,
+        opts: &OffloadOptions,
+        include_binary: bool,
+        phases: PhaseSeconds,
+        completed: usize,
+    ) -> OffloadReport {
+        let mcu_hz = self.config.mcu_freq_hz;
+        let (_, transfer_mcu_hz) = self.link_clocks();
         // Phases the MCU actively drives; with a direct sensor interface
         // the input phase does not involve the host at all.
-        let mcu_driven_transfers = binary_seconds
+        let mcu_driven_transfers = phases.binary
             + if opts.sensor_direct {
                 0.0
             } else {
-                input_seconds
+                phases.input
             }
-            + output_seconds
-            + sync_seconds;
+            + phases.output
+            + phases.sync;
         let mcu_compute_phase_power = if opts.host_task {
             self.config.mcu.run_power_w(mcu_hz)
         } else {
             self.config.mcu.sleep_power_w()
         };
         let mcu_energy = self.config.mcu.run_power_w(transfer_mcu_hz) * mcu_driven_transfers
-            + mcu_compute_phase_power * compute_seconds;
+            + mcu_compute_phase_power * phases.compute;
         let host_task_cycles = if opts.host_task {
-            (compute_seconds * mcu_hz) as u64
+            (phases.compute * mcu_hz) as u64
         } else {
             0
         };
-        let pulp_compute_energy =
-            self.config
-                .power
-                .total_power_w(f_pulp, self.config.pulp_vdd, &cost.activity)
-                * compute_seconds;
+        let pulp_compute_energy = self.config.power.total_power_w(
+            self.config.pulp_freq_hz,
+            self.config.pulp_vdd,
+            &cost.activity,
+        ) * phases.compute;
         let pulp_idle_energy =
             self.config.power.leakage_w(self.config.pulp_vdd) * mcu_driven_transfers;
+        let input_bytes: usize = cost.input_frames.iter().sum();
         let link_data_bytes: usize = if opts.sensor_direct { 0 } else { input_bytes }
             + cost.output_frames.iter().sum::<usize>();
         let link_bytes = if include_binary {
             cost.offload_bytes as f64
         } else {
             0.0
-        } + iterations as f64 * link_data_bytes as f64;
+        } + completed as f64 * link_data_bytes as f64;
         let link_energy = link_bytes * 8.0 * SpiLink::DEFAULT_ENERGY_PER_BIT;
 
+        // Double buffering hides min(compute, in+out) of each steady
+        // iteration (transfers for iteration i+1 and results of i-1 move
+        // while i computes); the pipeline fill (first input) and drain
+        // (last output) remain exposed.
+        let legacy_overlap = if opts.double_buffer && completed > 1 {
+            let (t_in, t_out) = self.iteration_transfer_seconds(cost, opts);
+            let t_compute_warm = cost.cycles_warm as f64 / self.config.pulp_freq_hz;
+            (t_in + t_out).min(t_compute_warm) * (completed - 1) as f64
+        } else {
+            0.0
+        };
+
         OffloadReport {
-            iterations,
-            binary_seconds,
-            input_seconds,
-            output_seconds,
-            compute_seconds,
-            sync_seconds,
-            overlapped_seconds,
+            iterations: opts.iterations.max(1),
+            binary_seconds: phases.binary,
+            input_seconds: phases.input,
+            output_seconds: phases.output,
+            compute_seconds: phases.compute,
+            sync_seconds: phases.sync,
+            overlapped_seconds: legacy_overlap,
             cycles_cold: cost.cycles_cold,
             cycles_warm: cost.cycles_warm,
             activity: cost.activity.clone(),
@@ -787,7 +844,7 @@ impl HetSystem {
             link_energy_joules: link_energy,
             host_task_cycles,
             resilience: ResilienceStats::default(),
-            overlap,
+            overlap: Overlap::default(),
         }
     }
 
@@ -896,22 +953,13 @@ impl HetSystem {
         // With the pipelined engine on, every payload crosses the link as
         // a train of chunk frames; the statistics record those frames.
         let pipe = opts.pipeline.normalized();
-        let send_lens = |len: usize| -> Vec<usize> {
-            if pipe.enabled {
-                pipeline::chunk_lens(len, pipe.chunk_bytes)
-            } else if len > 0 {
-                vec![len]
-            } else {
-                Vec::new()
-            }
-        };
 
         // Program offload (binary + constant maps), once per resident
         // kernel.
         let ship_binary =
             opts.force_reload || self.resident_kernel.as_deref() != Some(build.name.as_str());
         if ship_binary {
-            for len in send_lens(cost.offload_bytes) {
+            for len in pipeline::frame_lens(cost.offload_bytes, pipe) {
                 let _ = self.link.send(len + FRAME_OVERHEAD, mcu_hz);
             }
             let region = TargetRegion::from_kernel(build);
@@ -931,12 +979,12 @@ impl HetSystem {
         // Record the per-iteration data transfers in the link statistics.
         for _ in 0..opts.iterations.max(1) {
             for len in &cost.input_frames {
-                for chunk in send_lens(*len) {
+                for chunk in pipeline::frame_lens(*len, pipe) {
                     let _ = self.link.send(chunk + FRAME_OVERHEAD, mcu_hz);
                 }
             }
             for len in &cost.output_frames {
-                for chunk in send_lens(*len) {
+                for chunk in pipeline::frame_lens(*len, pipe) {
                     let _ = self.link.receive(chunk + FRAME_OVERHEAD, mcu_hz);
                 }
             }
@@ -1092,18 +1140,8 @@ impl HetSystem {
         let policy = opts.policy;
         // With the pipelined engine on, every payload becomes a train of
         // chunk frames; each chunk is transported (and recovered)
-        // individually, exactly as the selective-repeat window does on the
-        // wire.
+        // individually, one frame at a time.
         let pipe = opts.pipeline.normalized();
-        let chunks_of = |len: usize| -> Vec<usize> {
-            if pipe.enabled {
-                pipeline::chunk_lens(len, pipe.chunk_bytes)
-            } else if len > 0 {
-                vec![len]
-            } else {
-                Vec::new()
-            }
-        };
         let mcu_hz = self.config.mcu_freq_hz;
         let f_pulp = self.config.pulp_freq_hz;
         let (spi_drive_hz, transfer_mcu_hz) = self.link_clocks();
@@ -1131,19 +1169,15 @@ impl HetSystem {
         };
 
         let mut res = ResilienceStats::default();
-        // Healthy ledger — accumulated to match `predict` term for term.
-        let mut binary_seconds = 0.0f64;
-        let mut input_seconds = 0.0f64;
-        let mut output_seconds = 0.0f64;
-        let mut compute_seconds = 0.0f64;
-        let mut sync_seconds = 0.0f64;
+        // Healthy phases, priced by the ledger `predict` uses.
+        let mut phases = PhaseSeconds::default();
         let mut completed = 0usize;
         let mut failure: Option<OffloadError> = None;
 
         if include_binary {
-            for chunk in chunks_of(cost.offload_bytes) {
+            for chunk in pipeline::frame_lens(cost.offload_bytes, pipe) {
                 let wire = chunk + FRAME_OVERHEAD;
-                binary_seconds += self.link.transfer_seconds(wire, spi_drive_hz);
+                phases.binary += self.link.transfer_seconds(wire, spi_drive_hz);
                 if let Err(e) =
                     self.transport_frame(wire, spi_drive_hz, run_p, pulp_leak_p, &policy, &mut res)
                 {
@@ -1158,11 +1192,15 @@ impl HetSystem {
             if opts.sensor_direct {
                 // The dedicated sensor interface bypasses the faulty link.
                 let input_bytes: usize = cost.input_frames.iter().sum();
-                input_seconds += input_bytes as f64 / self.config.sensor_bandwidth;
+                phases.input += input_bytes as f64 / self.config.sensor_bandwidth;
             } else {
-                for chunk in cost.input_frames.iter().flat_map(|&len| chunks_of(len)) {
+                for chunk in cost
+                    .input_frames
+                    .iter()
+                    .flat_map(|&len| pipeline::frame_lens(len, pipe))
+                {
                     let wire = chunk + FRAME_OVERHEAD;
-                    input_seconds += self.link.transfer_seconds(wire, spi_drive_hz);
+                    phases.input += self.link.transfer_seconds(wire, spi_drive_hz);
                     if let Err(e) = self.transport_frame(
                         wire,
                         spi_drive_hz,
@@ -1196,11 +1234,11 @@ impl HetSystem {
                     }
                     EocOutcome::Hang => (None, 0.0),
                 };
-                let elapsed = binary_seconds
-                    + input_seconds
-                    + compute_seconds
-                    + output_seconds
-                    + sync_seconds
+                let elapsed = phases.binary
+                    + phases.input
+                    + phases.compute
+                    + phases.output
+                    + phases.sync
                     + res.extra_seconds;
                 let wait = wfe_wait_traced(
                     event_at,
@@ -1211,7 +1249,7 @@ impl HetSystem {
                 );
                 match wait.woke_by {
                     WakeReason::Event => {
-                        compute_seconds += t_iter;
+                        phases.compute += t_iter;
                         // A late event extends the sleep beyond the healthy
                         // compute time; the delta is recovery surcharge
                         // (host asleep, accelerator still active).
@@ -1245,12 +1283,16 @@ impl HetSystem {
                     }
                 }
             }
-            sync_seconds += 20.0 / mcu_hz;
+            phases.sync += 20.0 / mcu_hz;
 
             // -- outputs --------------------------------------------------
-            for chunk in cost.output_frames.iter().flat_map(|&len| chunks_of(len)) {
+            for chunk in cost
+                .output_frames
+                .iter()
+                .flat_map(|&len| pipeline::frame_lens(len, pipe))
+            {
                 let wire = chunk + FRAME_OVERHEAD;
-                output_seconds += self.link.transfer_seconds(wire, spi_drive_hz);
+                phases.output += self.link.transfer_seconds(wire, spi_drive_hz);
                 if let Err(e) =
                     self.transport_frame(wire, spi_drive_hz, run_p, pulp_leak_p, &policy, &mut res)
                 {
@@ -1275,94 +1317,25 @@ impl HetSystem {
             }
         }
 
-        // -- healthy-ledger energy, mirroring `predict` -------------------
-        let mcu_driven_transfers = binary_seconds
-            + if opts.sensor_direct {
-                0.0
-            } else {
-                input_seconds
-            }
-            + output_seconds
-            + sync_seconds;
-        let mcu_energy = run_p * mcu_driven_transfers + mcu_compute_p * compute_seconds;
-        let host_task_cycles = if opts.host_task {
-            (compute_seconds * mcu_hz) as u64
-        } else {
-            0
-        };
-        let pulp_energy = pulp_active_p * compute_seconds + pulp_leak_p * mcu_driven_transfers;
-        let input_bytes: usize = cost.input_frames.iter().sum();
-        let link_data_bytes: usize = if opts.sensor_direct { 0 } else { input_bytes }
-            + cost.output_frames.iter().sum::<usize>();
-        let link_bytes = if include_binary {
-            cost.offload_bytes as f64
-        } else {
-            0.0
-        } + completed as f64 * link_data_bytes as f64;
-        let link_energy = link_bytes * 8.0 * SpiLink::DEFAULT_ENERGY_PER_BIT;
-
-        // Double buffering still hides steady-state transfers behind
-        // compute for the iterations that completed on the device.
-        let legacy_overlap = if opts.double_buffer && completed > 1 {
-            let t_in = if opts.sensor_direct {
-                input_bytes as f64 / self.config.sensor_bandwidth
-            } else {
-                cost.input_frames
-                    .iter()
-                    .map(|len| {
-                        self.link
-                            .transfer_seconds(len + FRAME_OVERHEAD, spi_drive_hz)
-                    })
-                    .sum()
-            };
-            let t_out: f64 = cost
-                .output_frames
-                .iter()
-                .map(|len| {
-                    self.link
-                        .transfer_seconds(len + FRAME_OVERHEAD, spi_drive_hz)
-                })
-                .sum();
-            (t_in + t_out).min(t_warm) * (completed - 1) as f64
-        } else {
-            0.0
-        };
+        let mut report = self.healthy_report(cost, opts, include_binary, phases, completed);
         // The pipelined engine only claims credit for iterations that
         // actually completed on the device: its gain is measured against
         // the serial schedule of that same (chunked) work, so a partially
         // failed offload can never go overlap-negative.
-        let (overlapped_seconds, overlap) = if pipe.enabled && completed > 0 {
+        if pipe.enabled && completed > 0 {
             let mut jopts = *opts;
             jopts.iterations = completed;
             let job = self.pipeline_job(cost, &jopts, include_binary, pipe);
             let mut sched = Schedule::new(pipe.window);
             pipeline::schedule_job(&mut sched, &job);
             let gain = pipeline::serial_ns(&job).saturating_sub(sched.makespan()) as f64 / 1e9;
-            let mut o = sched.overlap();
-            o.engaged = gain > legacy_overlap && gain > 0.0;
-            (legacy_overlap.max(gain), o)
-        } else {
-            (legacy_overlap, Overlap::default())
-        };
-
-        Ok(OffloadReport {
-            iterations,
-            binary_seconds,
-            input_seconds,
-            output_seconds,
-            compute_seconds,
-            sync_seconds,
-            overlapped_seconds,
-            cycles_cold: cost.cycles_cold,
-            cycles_warm: cost.cycles_warm,
-            activity: cost.activity.clone(),
-            mcu_energy_joules: mcu_energy,
-            pulp_energy_joules: pulp_energy,
-            link_energy_joules: link_energy,
-            host_task_cycles,
-            resilience: res,
-            overlap,
-        })
+            let legacy_overlap = report.overlapped_seconds;
+            report.overlap = sched.overlap();
+            report.overlap.engaged = gain > legacy_overlap && gain > 0.0;
+            report.overlapped_seconds = legacy_overlap.max(gain);
+        }
+        report.resilience = res;
+        Ok(report)
     }
 
     /// Runs a host-targeted build on the MCU alone (the comparison
@@ -1406,134 +1379,20 @@ impl HetSystem {
         self.resident_kernel.as_deref()
     }
 
-    /// Runs every kernel of an [`OffloadQueue`] and pipelines their
-    /// frames over the link through one shared engine schedule: the input
-    /// stream of kernel *k+1* starts shifting while kernel *k* still
-    /// computes, exactly as chunks pipeline within a single offload.
-    ///
-    /// Each per-kernel [`OffloadReport`] is exactly what
-    /// [`HetSystem::offload`] would have produced with the queue's
-    /// pipeline config; the [`QueueReport`] adds the cross-kernel view.
-    /// With `pipe.enabled == false` (or a fault-active link, where
-    /// in-flight pipelining is forfeited to keep the per-frame recovery
-    /// accounting exact), the queue degrades to strictly sequential
-    /// offloads and `total_seconds == serialized_seconds`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`OffloadError`] any queued offload raises.
-    pub fn run_queue(
-        &mut self,
-        queue: &OffloadQueue,
-        pipe: PipelineConfig,
-    ) -> Result<QueueReport, OffloadError> {
-        let norm = pipe.normalized();
-        queue.mark_consumed();
-
-        if self.injector.is_active() || !norm.enabled {
-            let mut reports: Vec<OffloadReport> = Vec::with_capacity(queue.len());
-            let mut serialized_seconds = 0.0f64;
-            let mut total_seconds = 0.0f64;
-            for (build, opts) in queue.jobs() {
-                let mut o = *opts;
-                o.pipeline = pipe;
-                let r = self.offload(build, &o)?;
-                serialized_seconds += r.binary_seconds
-                    + r.input_seconds
-                    + r.output_seconds
-                    + r.compute_seconds
-                    + r.sync_seconds
-                    + r.resilience.extra_seconds
-                    + r.resilience.fallback_seconds;
-                total_seconds += r.total_seconds();
-                reports.push(r);
-            }
-            return Ok(QueueReport {
-                reports,
-                serialized_seconds,
-                total_seconds,
-                overlap: Overlap::default(),
-            });
-        }
-
-        // Execute the side effects — cost measurement on the cluster, link
-        // statistics, binary residency — then hand the measured jobs to the
-        // pure planner shared with the serving layer.
-        let mcu_hz = self.config.mcu_freq_hz;
-        let mut measured: Vec<(OffloadCost, OffloadOptions, bool)> =
-            Vec::with_capacity(queue.len());
-        for (build, opts) in queue.jobs() {
-            let mut o = *opts;
-            o.pipeline = pipe;
-            let cost = self.measure_cost(build)?;
-            let ship_binary =
-                o.force_reload || self.resident_kernel.as_deref() != Some(build.name.as_str());
-            if ship_binary {
-                for len in pipeline::chunk_lens(cost.offload_bytes, norm.chunk_bytes) {
-                    let _ = self.link.send(len + FRAME_OVERHEAD, mcu_hz);
-                }
-                let region = TargetRegion::from_kernel(build);
-                for buf in &build.buffers {
-                    if let BufferInit::Data(d) = &buf.init {
-                        if region
-                            .maps()
-                            .iter()
-                            .any(|m| m.device_addr == buf.addr && m.dir == MapDir::ToOnce)
-                        {
-                            self.cluster.write_tcdm(buf.addr, d)?;
-                        }
-                    }
-                }
-                self.resident_kernel = Some(build.name.clone());
-            }
-            for _ in 0..o.iterations.max(1) {
-                for chunk in cost
-                    .input_frames
-                    .iter()
-                    .flat_map(|&len| pipeline::chunk_lens(len, norm.chunk_bytes))
-                {
-                    let _ = self.link.send(chunk + FRAME_OVERHEAD, mcu_hz);
-                }
-                for chunk in cost
-                    .output_frames
-                    .iter()
-                    .flat_map(|&len| pipeline::chunk_lens(len, norm.chunk_bytes))
-                {
-                    let _ = self.link.receive(chunk + FRAME_OVERHEAD, mcu_hz);
-                }
-            }
-            measured.push((cost, o, ship_binary));
-        }
-
-        let jobs: Vec<PlannedJob<'_>> = measured
-            .iter()
-            .map(|(cost, opts, ship_binary)| PlannedJob {
-                cost,
-                opts: *opts,
-                ship_binary: *ship_binary,
-            })
-            .collect();
-        let qr = self.plan_queue(&jobs, pipe);
-        for report in &qr.reports {
-            self.emit_phases(report);
-        }
-        if qr.overlap.any() {
-            self.tracer.set_overlap(qr.overlap);
-        }
-        Ok(qr)
-    }
-
     /// Plans an ordered sequence of offload jobs through one shared
     /// pipeline schedule **without touching any simulator state** — no
     /// cluster runs, no link statistics, no residency changes. Each job
     /// carries a measured [`OffloadCost`] (see [`HetSystem::measure_cost`])
-    /// plus whether the program offload is paid; this is exactly the
-    /// arithmetic [`HetSystem::run_queue`] performs after its side
-    /// effects, factored out so a serving layer can price thousands of
-    /// candidate batches against cached costs.
+    /// plus whether the program offload is paid, so a serving layer can
+    /// price thousands of candidate batches against cached costs.
     ///
-    /// With the pipeline disabled the jobs are planned strictly
-    /// serialized and `total_seconds == serialized_seconds`.
+    /// Each per-job report is exactly what [`HetSystem::predict`] returns
+    /// for that job under `pipe`. With the pipeline enabled, the shared
+    /// schedule lets kernel *k+1*'s binary and inputs ride the link while
+    /// kernel *k* computes; the queue total is clamped to never exceed
+    /// the sequential sum. With the pipeline disabled the jobs are
+    /// planned strictly serialized and
+    /// `total_seconds == serialized_seconds`.
     #[must_use]
     pub fn plan_queue(&self, jobs: &[PlannedJob<'_>], pipe: PipelineConfig) -> QueueReport {
         let norm = pipe.normalized();
@@ -2286,5 +2145,91 @@ mod tests {
             .backoff_for(40),
             u64::MAX
         );
+    }
+
+    /// Measured costs of two differently sized matmul kernels, the jobs
+    /// of the `plan_queue` tests.
+    fn two_kernel_costs() -> (HetSystem, Vec<OffloadCost>) {
+        let env = TargetEnv::pulp_parallel();
+        let mut sys = HetSystem::new(HetSystemConfig::default());
+        let costs = [16, 8]
+            .map(|n| {
+                sys.measure_cost(&ulp_kernels::matmul::build_sized(
+                    ulp_kernels::matmul::MatVariant::Char,
+                    &env,
+                    n,
+                ))
+                .unwrap()
+            })
+            .to_vec();
+        (sys, costs)
+    }
+
+    fn planned(costs: &[OffloadCost], iterations: usize, ship_binary: bool) -> Vec<PlannedJob<'_>> {
+        costs
+            .iter()
+            .map(|cost| PlannedJob {
+                cost,
+                opts: OffloadOptions {
+                    iterations,
+                    ..Default::default()
+                },
+                ship_binary,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pipelined_plan_never_loses_to_serialized() {
+        let (sys, costs) = two_kernel_costs();
+        let q = sys.plan_queue(&planned(&costs, 4, true), PipelineConfig::enabled());
+        assert_eq!(q.reports.len(), 2);
+        assert!(q.total_seconds <= q.serialized_seconds);
+        assert!(q.overlap.any(), "the shared schedule overlaps the kernels");
+        assert!(q.overlap.check().is_ok(), "{:?}", q.overlap.check());
+    }
+
+    #[test]
+    fn disabled_pipeline_plans_serialized() {
+        let (sys, costs) = two_kernel_costs();
+        let q = sys.plan_queue(&planned(&costs, 2, true), PipelineConfig::default());
+        assert!(!q.overlap.any());
+        assert_eq!(q.total_seconds, q.serialized_seconds);
+    }
+
+    #[test]
+    fn planned_reports_are_bit_equal_to_predict() {
+        let (sys, costs) = two_kernel_costs();
+        let jobs = planned(&costs, 3, true);
+        for pipe in [PipelineConfig::default(), PipelineConfig::enabled()] {
+            let q = sys.plan_queue(&jobs, pipe);
+            for (job, report) in jobs.iter().zip(&q.reports) {
+                let opts = OffloadOptions {
+                    pipeline: pipe,
+                    ..job.opts
+                };
+                // `{:?}` prints every f64 in round-trip form, so equal
+                // dumps mean bit-equal reports.
+                assert_eq!(
+                    format!("{report:?}"),
+                    format!("{:?}", sys.predict(job.cost, &opts, job.ship_binary)),
+                    "pipeline {pipe:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn resident_binaries_plan_no_binary_time() {
+        let (sys, costs) = two_kernel_costs();
+        for pipe in [PipelineConfig::default(), PipelineConfig::enabled()] {
+            let shipped = sys.plan_queue(&planned(&costs, 1, true), pipe);
+            let resident = sys.plan_queue(&planned(&costs, 1, false), pipe);
+            for (s, r) in shipped.reports.iter().zip(&resident.reports) {
+                assert!(s.binary_seconds > 0.0);
+                assert_eq!(r.binary_seconds, 0.0);
+            }
+            assert!(resident.total_seconds < shipped.total_seconds);
+        }
     }
 }

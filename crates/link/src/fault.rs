@@ -11,8 +11,9 @@
 //!
 //! Two operating modes share the same random draws:
 //!
-//! * [`FaultInjector::transmit`] mutates real wire bytes (used by the
-//!   frame-hardening tests and any future byte-accurate transport), and
+//! * [`FaultInjector::transmit`] mutates real wire bytes — the byte-level
+//!   reference, tested against the CRC check of
+//!   [`Frame::from_wire`](crate::Frame::from_wire) — and
 //! * [`FaultInjector::assess`] draws the same outcome distribution for a
 //!   frame of a given length without materializing bytes (used by the
 //!   offload cost model, where data frames are accounting entities).

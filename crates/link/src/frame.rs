@@ -45,6 +45,12 @@ pub const MAX_PAYLOAD: usize = 0x00FF_FFFF;
 /// Per-frame wire overhead: 8 header bytes + 2 CRC bytes.
 pub const FRAME_OVERHEAD: usize = 10;
 
+/// Most frames a sender may have unacknowledged at once: half the 4-bit
+/// sequence space, the selective-repeat bound beyond which a
+/// retransmitted frame is indistinguishable from a new one. The pipelined
+/// offload engine clamps its staging ring to it.
+pub const MAX_WINDOW: usize = 8;
+
 const CMD_WRITE: u8 = 0x1;
 const CMD_READ: u8 = 0x2;
 const CMD_SET_ENTRY: u8 = 0x3;

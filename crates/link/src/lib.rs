@@ -12,10 +12,8 @@
 //!   frequency to free power for the accelerator also throttles the link.
 //! * [`Frame`] ([`frame`]) — the on-wire command protocol for code offload
 //!   and data exchange: CRC-16-protected, sequence-numbered frames with
-//!   ACK/NACK acknowledgements.
-//! * [`SlidingWindow`] ([`window`]) — selective-repeat in-flight
-//!   pipelining over the seq/ACK framing: up to [`MAX_WINDOW`] frames
-//!   unacknowledged at once, only damaged frames retransmitted.
+//!   ACK/NACK acknowledgements. The 4-bit sequence number bounds how many
+//!   frames may be unacknowledged at once ([`MAX_WINDOW`]).
 //! * [`crc16`] ([`crc`]) — CRC-16/CCITT-FALSE frame integrity.
 //! * [`FaultInjector`] ([`fault`]) — deterministic, seeded injection of
 //!   bit errors, dropped/truncated frames, stuck event wires and
@@ -61,15 +59,11 @@ pub mod crc;
 pub mod fault;
 pub mod frame;
 pub mod spi;
-pub mod window;
 
 pub use crc::{crc16, crc16_step};
 pub use fault::{EocOutcome, FaultConfig, FaultInjector, FaultStats, TxOutcome};
-pub use frame::{Frame, FrameError, FRAME_OVERHEAD, MAX_PAYLOAD};
+pub use frame::{Frame, FrameError, FRAME_OVERHEAD, MAX_PAYLOAD, MAX_WINDOW};
 pub use spi::{LinkStats, SpiLink, SpiWidth};
-pub use window::{
-    RxAction, SlidingWindow, WindowExhausted, WindowReceiver, WindowStats, MAX_WINDOW,
-};
 
 /// The two GPIO synchronization wires between host and accelerator.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
